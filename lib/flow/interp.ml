@@ -1,5 +1,6 @@
 module Ast = Vhdl.Ast
 module Sem = Vhdl.Sem
+module Smap = Map.Make (String)
 
 type value = Vint of int | Vbool of bool | Varr of int array
 
@@ -16,12 +17,18 @@ exception Exit_loop_exn
 let error fmt = Printf.ksprintf (fun msg -> raise (Runtime_error msg)) fmt
 
 (* Per-site observation counters. *)
-type branch_stat = { mutable visits : int; arms : (int, int) Hashtbl.t; n_arms : int }
+type branch_stat = { mutable visits : int; arms : int array }
 type while_stat = { mutable entries : int; mutable iters : int }
 
-type recorder = {
-  branch_stats : (string * int, branch_stat) Hashtbl.t;  (* behavior, site *)
-  while_stats : (string * int, while_stat) Hashtbl.t;
+(* A compiled behavior runs over a frame: one slot per name that is local
+   to one call of it. *)
+type frame = value array
+
+type compiled = {
+  slots : int;
+  params : int array;  (* slot of each parameter, in declaration order *)
+  init : frame -> unit;  (* declared variables *)
+  body : frame -> unit;
 }
 
 type t = {
@@ -32,8 +39,10 @@ type t = {
   queues : (string, int Queue.t) Hashtbl.t;
   limits : limits;
   mutable step_count : int;
-  recorder : recorder;
-  sites : (string, Sites.t) Hashtbl.t;
+  branch_stats : (string * int, branch_stat) Hashtbl.t;  (* behavior, site *)
+  while_stats : (string * int, while_stat) Hashtbl.t;
+  procs : (string, compiled Lazy.t) Hashtbl.t;
+  subs : (string, compiled Lazy.t) Hashtbl.t;
 }
 
 (* --- Values and defaults -------------------------------------------------- *)
@@ -57,6 +66,9 @@ let as_bool = function
   | Vbool b -> b
   | Vint v -> v <> 0
   | Varr _ -> error "array used as a condition"
+
+let vtrue = Vbool true
+let vfalse = Vbool false
 
 (* Arrays index from their declared low bound. *)
 let array_lo sem ty =
@@ -96,10 +108,6 @@ let create ?(limits = default_limits) ~inputs sem =
           Hashtbl.replace globals s_name (ref (default_value sem s_type))
       | Ast.Const_decl _ | Ast.Type_decl _ -> ())
     design.Ast.arch_decls;
-  let sites = Hashtbl.create 16 in
-  List.iter
-    (fun (name, _, body) -> Hashtbl.replace sites name (Sites.of_body body))
-    (Ast.behaviors design);
   {
     sem;
     globals;
@@ -108,336 +116,487 @@ let create ?(limits = default_limits) ~inputs sem =
     queues = Hashtbl.create 8;
     limits;
     step_count = 0;
-    recorder = { branch_stats = Hashtbl.create 32; while_stats = Hashtbl.create 8 };
-    sites;
+    branch_stats = Hashtbl.create 32;
+    while_stats = Hashtbl.create 8;
+    procs = Hashtbl.create 8;
+    subs = Hashtbl.create 8;
   }
 
 let set_inputs t f = t.inputs <- f
 
-(* --- Recording ------------------------------------------------------------- *)
+(* --- Compilation ------------------------------------------------------------ *)
 
-let record_branch t ~behavior ~site ~arm ~n_arms =
-  let key = (behavior, site) in
-  let stat =
-    match Hashtbl.find_opt t.recorder.branch_stats key with
-    | Some s -> s
-    | None ->
-        let s = { visits = 0; arms = Hashtbl.create 4; n_arms } in
-        Hashtbl.replace t.recorder.branch_stats key s;
-        s
-  in
-  stat.visits <- stat.visits + 1;
-  Hashtbl.replace stat.arms arm (1 + Option.value (Hashtbl.find_opt stat.arms arm) ~default:0)
+(* Each behavior compiles once per machine into closures over a frame.
+   Every name resolves at compile time to what a tree walk would find on
+   each access: a frame slot (parameters, declared variables, enclosing
+   [for] variables), a global's cell, a folded constant, a port read or a
+   callee.  Anything that can fail (an unbound name, an unresolvable type)
+   compiles to code that fails when it runs, at the same point of the
+   execution. *)
 
-let record_while_entry t ~behavior ~site ~iters =
-  let key = (behavior, site) in
-  let stat =
-    match Hashtbl.find_opt t.recorder.while_stats key with
-    | Some s -> s
-    | None ->
-        let s = { entries = 0; iters = 0 } in
-        Hashtbl.replace t.recorder.while_stats key s;
-        s
-  in
-  stat.entries <- stat.entries + 1;
-  stat.iters <- stat.iters + iters
-
-(* --- Execution ------------------------------------------------------------- *)
-
-type frame = {
-  behavior : string;
+type ctx = {
+  m : t;
+  name : string;  (* behavior: error messages, step limit, recorder key *)
   env : Sem.env;
-  locals : (string, value ref) Hashtbl.t;
-  site_map : Sites.t;
+  mutable next_slot : int;
+  (* Control sites are numbered in compilation order, which is {!Count}'s
+     pre-order: an if/case or while before the statements inside it. *)
+  mutable branch_sites : int;
+  mutable while_sites : int;
 }
 
-let tick t behavior =
-  t.step_count <- t.step_count + 1;
-  if t.step_count > t.limits.max_steps then raise (Limit_exceeded behavior)
+let new_slot c =
+  let i = c.next_slot in
+  c.next_slot <- i + 1;
+  i
 
-let find_subprogram t name =
-  match Sem.lookup (Sem.global_env t.sem) name with
-  | Some (Sem.Subprogram sub) -> Some sub
-  | _ -> None
+(* [f ()] once, now; an exception it raises is raised by every use. *)
+let staged f = match f () with v -> fun () -> v | exception e -> fun () -> raise e
 
-let queue_for t ch =
-  match Hashtbl.find_opt t.queues ch with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.replace t.queues ch q;
-      q
+(* A fresh default of [ty] on every call: arrays are mutable. *)
+let default_of c ty =
+  let d = staged (fun () -> default_value c.m.sem ty) in
+  fun () -> match d () with Varr a -> Varr (Array.copy a) | v -> v
 
-let rec eval t frame e =
-  match e with
-  | Ast.Int_lit n -> Vint n
-  | Ast.Bool_lit b -> Vbool b
-  | Ast.Name n -> (
-      (* A bare name can be a zero-argument function call. *)
-      match Hashtbl.mem frame.locals n with
-      | true -> read_name t frame n
-      | false -> (
-          match find_subprogram t n with
-          | Some sub -> call_subprogram t frame sub []
-          | None -> read_name t frame n))
-  | Ast.Attr (n, attr) -> (
-      match (read_name_opt t frame n, attr) with
-      | Some (Varr a), "length" -> Vint (Array.length a)
-      | _ -> Vint 0)
-  | Ast.Index (n, ix) -> (
-      match find_subprogram t n with
-      | Some sub -> call_subprogram t frame sub [ ix ]
-      | None -> (
-          let i = as_int (eval t frame ix) in
-          match read_name t frame n with
-          | Varr a ->
-              let ty = type_of_name t frame n in
-              let lo = array_lo t.sem ty in
-              if i - lo < 0 || i - lo >= Array.length a then
-                error "%s(%d): index out of bounds in %s" n i frame.behavior
-              else Vint a.(i - lo)
-          | _ -> error "%s is not an array" n))
-  | Ast.Call (n, args) -> (
-      match find_subprogram t n with
-      | Some sub -> call_subprogram t frame sub args
-      | None -> error "unknown function %s" n)
-  | Ast.Binop (op, a, b) -> eval_binop t frame op a b
-  | Ast.Unop (op, a) -> (
-      match op with
-      | Ast.Neg -> Vint (-as_int (eval t frame a))
-      | Ast.Abs -> Vint (abs (as_int (eval t frame a)))
-      | Ast.Not -> Vbool (not (as_bool (eval t frame a))))
-
-and eval_binop t frame op a b =
-  match op with
-  | Ast.And -> Vbool (as_bool (eval t frame a) && as_bool (eval t frame b))
-  | Ast.Or -> Vbool (as_bool (eval t frame a) || as_bool (eval t frame b))
-  | Ast.Xor -> Vbool (as_bool (eval t frame a) <> as_bool (eval t frame b))
-  | _ -> (
-      let x = as_int (eval t frame a) and y = as_int (eval t frame b) in
-      match op with
-      | Ast.Add -> Vint (x + y)
-      | Ast.Sub -> Vint (x - y)
-      | Ast.Mul -> Vint (x * y)
-      | Ast.Div -> if y = 0 then error "division by zero in %s" frame.behavior else Vint (x / y)
-      | Ast.Mod -> if y = 0 then error "mod by zero in %s" frame.behavior else Vint (((x mod y) + y) mod y)
-      | Ast.Rem -> if y = 0 then error "rem by zero in %s" frame.behavior else Vint (x mod y)
-      | Ast.Eq -> Vbool (x = y)
-      | Ast.Neq -> Vbool (x <> y)
-      | Ast.Lt -> Vbool (x < y)
-      | Ast.Le -> Vbool (x <= y)
-      | Ast.Gt -> Vbool (x > y)
-      | Ast.Ge -> Vbool (x >= y)
-      | Ast.Concat -> Vint ((x * 2) + y)
-      | Ast.And | Ast.Or | Ast.Xor -> assert false)
-
-and type_of_name _t frame n =
-  match Sem.lookup frame.env n with
+let type_of_name c n =
+  match Sem.lookup c.env n with
   | Some (Sem.Local_var ty | Sem.Global_var ty | Sem.Port (_, ty) | Sem.Param (_, ty)
          | Sem.Constant (ty, _)) ->
       ty
   | _ -> Ast.Integer
 
-and read_name_opt t frame n =
-  match Hashtbl.find_opt frame.locals n with
-  | Some r -> Some !r
-  | None -> (
-      match Sem.lookup frame.env n with
-      | Some (Sem.Constant (_, e)) -> Some (Vint (eval_const_expr e))
-      | Some (Sem.Port _) -> Some (Vint (t.inputs n))
-      | Some (Sem.Global_var _) -> (
-          match Hashtbl.find_opt t.globals n with Some r -> Some !r | None -> None)
-      | Some (Sem.Local_var _ | Sem.Param _) ->
-          (* Declared but never initialized in this frame: default. *)
-          Some (default_value t.sem (type_of_name t frame n))
-      | Some (Sem.Subprogram _) | None -> None)
+let find_subprogram c n =
+  match Sem.lookup (Sem.global_env c.m.sem) n with
+  | Some (Sem.Subprogram sub) -> Some sub
+  | _ -> None
 
-and read_name t frame n =
-  match read_name_opt t frame n with
-  | Some v -> v
-  | None -> error "unbound name %s in %s" n frame.behavior
+let tick m name =
+  m.step_count <- m.step_count + 1;
+  if m.step_count > m.limits.max_steps then raise (Limit_exceeded name)
 
-and write_name t frame n v =
-  match Hashtbl.find_opt frame.locals n with
-  | Some r -> r := v
-  | None -> (
-      match Sem.lookup frame.env n with
-      | Some (Sem.Port _) -> Hashtbl.replace t.outputs n (as_int v)
-      | Some (Sem.Global_var _) -> (
-          match Hashtbl.find_opt t.globals n with
-          | Some r -> r := v
-          | None -> Hashtbl.replace t.globals n (ref v))
-      | Some (Sem.Local_var _ | Sem.Param _) -> Hashtbl.replace frame.locals n (ref v)
-      | _ -> error "cannot assign to %s in %s" n frame.behavior)
+(* Each control site owns its stat; one never visited is not reported. *)
+let branch_recorder c n_arms =
+  let s = { visits = 0; arms = Array.make n_arms 0 } in
+  Hashtbl.replace c.m.branch_stats (c.name, c.branch_sites) s;
+  c.branch_sites <- c.branch_sites + 1;
+  fun arm ->
+    s.visits <- s.visits + 1;
+    s.arms.(arm) <- s.arms.(arm) + 1
 
-and write_target t frame target v =
-  match target with
-  | Ast.Tname n -> write_name t frame n v
-  | Ast.Tindex (n, ix) -> (
-      let i = as_int (eval t frame ix) in
-      match read_name t frame n with
-      | Varr a ->
-          let lo = array_lo t.sem (type_of_name t frame n) in
-          if i - lo < 0 || i - lo >= Array.length a then
-            error "%s(%d): index out of bounds in %s" n i frame.behavior
-          else a.(i - lo) <- as_int v
-      | _ -> error "%s is not an array" n)
+let while_recorder c =
+  let s = { entries = 0; iters = 0 } in
+  Hashtbl.replace c.m.while_stats (c.name, c.while_sites) s;
+  c.while_sites <- c.while_sites + 1;
+  fun iters ->
+    s.entries <- s.entries + 1;
+    s.iters <- s.iters + iters
 
-and call_subprogram t frame sub args =
-  let name = sub.Ast.sub_name in
-  let locals = Hashtbl.create 8 in
-  if List.length args <> List.length sub.Ast.sub_params then
-    error "%s expects %d arguments" name (List.length sub.Ast.sub_params);
-  (* Copy-in. *)
-  List.iter2
-    (fun (p : Ast.param) arg ->
-      let v =
-        match p.par_mode with
-        | Ast.In | Ast.Inout -> eval t frame arg
-        | Ast.Out -> default_value t.sem p.par_type
-      in
-      Hashtbl.replace locals p.par_name (ref v))
-    sub.Ast.sub_params args;
-  List.iter
-    (fun d ->
-      match d with
-      | Ast.Var_decl { v_name; v_type; v_init; _ } ->
-          let v =
-            match v_init with
-            | Some e -> Vint (eval_const_expr e)
-            | None -> default_value t.sem v_type
-          in
-          Hashtbl.replace locals v_name (ref v)
-      | _ -> ())
-    sub.Ast.sub_decls;
-  let callee_frame =
-    {
-      behavior = name;
-      env = Sem.env_of_behavior t.sem name;
-      locals;
-      site_map =
-        (match Hashtbl.find_opt t.sites name with
-        | Some s -> s
-        | None -> Sites.of_body sub.Ast.sub_body);
-    }
+let queue_for m ch =
+  match Hashtbl.find_opt m.queues ch with
+  | Some q -> q
+  | None ->
+      let q = Queue.create () in
+      Hashtbl.replace m.queues ch q;
+      q
+
+let arith c op a b =
+  let nonzero what g =
+    let name = c.name in
+    fun f ->
+      let x = a f in
+      let y = b f in
+      if y = 0 then error "%s by zero in %s" what name else g x y
   in
-  let result =
-    try
-      exec_stmts t callee_frame [] sub.Ast.sub_body;
-      None
-    with Return_value v -> v
-  in
-  (* Copy-out for out/inout parameters bound to lvalue arguments. *)
-  List.iter2
-    (fun (p : Ast.param) arg ->
-      match p.par_mode with
-      | Ast.Out | Ast.Inout -> (
-          let v = !(Hashtbl.find locals p.par_name) in
-          match arg with
-          | Ast.Name n -> write_name t frame n v
-          | Ast.Index (n, ix) -> write_target t frame (Ast.Tindex (n, ix)) v
-          | _ -> ())
-      | Ast.In -> ())
-    sub.Ast.sub_params args;
-  match result with Some v -> v | None -> Vint 0
+  match op with
+  | Ast.Add -> fun f -> let x = a f in let y = b f in x + y
+  | Ast.Sub -> fun f -> let x = a f in let y = b f in x - y
+  | Ast.Mul -> fun f -> let x = a f in let y = b f in x * y
+  | Ast.Div -> nonzero "division" ( / )
+  | Ast.Mod -> nonzero "mod" (fun x y -> ((x mod y) + y) mod y)
+  | Ast.Rem -> nonzero "rem" ( mod )
+  | Ast.Concat -> fun f -> let x = a f in let y = b f in (x * 2) + y
+  | _ -> assert false
 
-and exec_stmts t frame path body =
-  List.iteri (fun i s -> exec_stmt t frame (i :: path) s) body
+let relation op a b =
+  match op with
+  | Ast.Eq -> fun f -> let x = a f in let y = b f in x = y
+  | Ast.Neq -> fun f -> let x = a f in let y = b f in x <> y
+  | Ast.Lt -> fun f -> let x = a f in let y = b f in x < y
+  | Ast.Le -> fun f -> let x = a f in let y = b f in x <= y
+  | Ast.Gt -> fun f -> let x = a f in let y = b f in x > y
+  | Ast.Ge -> fun f -> let x = a f in let y = b f in x >= y
+  | _ -> assert false
 
-and exec_stmt t frame path s =
-  tick t frame.behavior;
+let unbound c n =
+  let name = c.name in
+  fun _ -> error "unbound name %s in %s" n name
+
+(* The value of [n] outside the frame; [missing] when nothing is bound. *)
+let nonlocal c n ~missing =
+  match Sem.lookup c.env n with
+  | Some (Sem.Constant (_, e)) ->
+      let v = Vint (eval_const_expr e) in
+      fun _ -> v
+  | Some (Sem.Port _) ->
+      let m = c.m in
+      fun _ -> Vint (m.inputs n)
+  | Some (Sem.Global_var _) -> (
+      let m = c.m in
+      match Hashtbl.find_opt m.globals n with
+      | Some r -> fun _ -> !r
+      | None -> (
+          fun f -> match Hashtbl.find_opt m.globals n with Some r -> !r | None -> missing f))
+  | _ -> missing
+
+let read c scope n ~missing =
+  match Smap.find_opt n scope with Some i -> fun f -> f.(i) | None -> nonlocal c n ~missing
+
+let write_name c scope n =
+  match Smap.find_opt n scope with
+  | Some i -> fun f v -> f.(i) <- v
+  | None -> (
+      let m = c.m and name = c.name in
+      match Sem.lookup c.env n with
+      | Some (Sem.Port _) -> fun _ v -> Hashtbl.replace m.outputs n (as_int v)
+      | Some (Sem.Global_var _) -> (
+          match Hashtbl.find_opt m.globals n with
+          | Some r -> fun _ v -> r := v
+          | None -> (
+              fun _ v ->
+                match Hashtbl.find_opt m.globals n with
+                | Some r -> r := v
+                | None -> Hashtbl.replace m.globals n (ref v)))
+      | _ -> fun _ _ -> error "cannot assign to %s in %s" n name)
+
+(* [n(ix)]: evaluates the index, then reads the array, checks the bounds
+   and passes the array and the element's offset to [k] with [x]. *)
+let element c scope n ix =
+  let arr = read c scope n ~missing:(unbound c n) in
+  let lo = staged (fun () -> array_lo c.m.sem (type_of_name c n)) and name = c.name in
+  fun f x k ->
+    let i = ix f in
+    match arr f with
+    | Varr a ->
+        let j = i - lo () in
+        if j < 0 || j >= Array.length a then
+          error "%s(%d): index out of bounds in %s" n i name
+        else k a j x
+    | _ -> error "%s is not an array" n
+
+(* A behavior's code, compiled on its first call. *)
+let cached table name make =
+  match Hashtbl.find_opt table name with
+  | Some k -> k
+  | None ->
+      let k = lazy (make ()) in
+      Hashtbl.replace table name k;
+      k
+
+let rec expr c scope e : frame -> value =
+  match e with
+  | Ast.Int_lit n ->
+      let v = Vint n in
+      fun _ -> v
+  | Ast.Bool_lit b ->
+      let v = Vbool b in
+      fun _ -> v
+  | Ast.Name n -> (
+      (* A bare name can be a zero-argument function call. *)
+      match (Smap.find_opt n scope, find_subprogram c n) with
+      | None, Some sub -> call c scope sub []
+      | _ -> read c scope n ~missing:(unbound c n))
+  | Ast.Attr (n, attr) ->
+      let r = read c scope n ~missing:(fun _ -> Vint 0) and length = attr = "length" in
+      fun f -> (match r f with Varr a when length -> Vint (Array.length a) | _ -> Vint 0)
+  | Ast.Index (n, ix) -> (
+      match find_subprogram c n with
+      | Some sub -> call c scope sub [ ix ]
+      | None ->
+          let get = element c scope n (int_ c scope ix) in
+          fun f -> get f () (fun a j () -> Vint a.(j)))
+  | Ast.Call (n, args) -> (
+      match find_subprogram c n with
+      | Some sub -> call c scope sub args
+      | None -> fun _ -> error "unknown function %s" n)
+  | Ast.Binop ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod | Ast.Rem | Ast.Concat), _, _)
+  | Ast.Unop ((Ast.Neg | Ast.Abs), _) ->
+      let k = int_ c scope e in
+      fun f -> Vint (k f)
+  | Ast.Binop _ | Ast.Unop (Ast.Not, _) ->
+      let k = bool_ c scope e in
+      fun f -> if k f then vtrue else vfalse
+
+(* [e] as [as_int] of its value, without boxing intermediates. *)
+and int_ c scope e : frame -> int =
+  match e with
+  | Ast.Int_lit n -> fun _ -> n
+  | Ast.Binop ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod | Ast.Rem | Ast.Concat) as op, a, b)
+    ->
+      arith c op (int_ c scope a) (int_ c scope b)
+  | Ast.Unop (Ast.Neg, a) ->
+      let a = int_ c scope a in
+      fun f -> -a f
+  | Ast.Unop (Ast.Abs, a) ->
+      let a = int_ c scope a in
+      fun f -> abs (a f)
+  | _ ->
+      let v = expr c scope e in
+      fun f -> as_int (v f)
+
+(* [e] as [as_bool] of its value. *)
+and bool_ c scope e : frame -> bool =
+  match e with
+  | Ast.Bool_lit b -> fun _ -> b
+  | Ast.Binop ((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op, a, b) ->
+      relation op (int_ c scope a) (int_ c scope b)
+  | Ast.Binop (Ast.And, a, b) ->
+      let a = bool_ c scope a and b = bool_ c scope b in
+      fun f -> a f && b f
+  | Ast.Binop (Ast.Or, a, b) ->
+      let a = bool_ c scope a and b = bool_ c scope b in
+      fun f -> a f || b f
+  | Ast.Binop (Ast.Xor, a, b) ->
+      (* Right operand first, as in the reference interpreter: with port
+         reads in both operands the order decides which stimulus each draws. *)
+      let a = bool_ c scope a and b = bool_ c scope b in
+      fun f ->
+        let y = b f in
+        a f <> y
+  | Ast.Unop (Ast.Not, a) ->
+      let a = bool_ c scope a in
+      fun f -> not (a f)
+  | _ ->
+      let v = expr c scope e in
+      fun f -> as_bool (v f)
+
+and write c scope = function
+  | Ast.Tname n -> write_name c scope n
+  | Ast.Tindex (n, ix) ->
+      let set = element c scope n (int_ c scope ix) in
+      fun f v -> set f v (fun a j v -> a.(j) <- as_int v)
+
+and call c scope (sub : Ast.subprogram) args : frame -> value =
+  let name = sub.Ast.sub_name and n_params = List.length sub.Ast.sub_params in
+  if List.length args <> n_params then fun _ ->
+    error "%s expects %d arguments" name n_params
+  else
+    let callee = subprogram c.m sub in
+    let copy_in =
+      Array.of_list
+        (List.map2
+           (fun (p : Ast.param) arg ->
+             match p.par_mode with
+             | Ast.In | Ast.Inout -> expr c scope arg
+             | Ast.Out ->
+                 let d = default_of c p.par_type in
+                 fun _ -> d ())
+           sub.Ast.sub_params args)
+    in
+    (* Copy-out to lvalue arguments; an index is evaluated again. *)
+    let copy_out =
+      List.combine sub.Ast.sub_params args
+      |> List.mapi (fun j ((p : Ast.param), arg) ->
+             match (p.par_mode, arg) with
+             | Ast.In, _ -> None
+             | _, Ast.Name n -> Some (j, write_name c scope n)
+             | _, Ast.Index (n, ix) -> Some (j, write c scope (Ast.Tindex (n, ix)))
+             | _ -> None)
+      |> List.filter_map Fun.id |> Array.of_list
+    in
+    fun f ->
+      let k = Lazy.force callee in
+      let g = Array.make k.slots (Vint 0) in
+      for j = 0 to Array.length copy_in - 1 do
+        g.(k.params.(j)) <- copy_in.(j) f
+      done;
+      k.init g;
+      let result = try k.body g; None with Return_value v -> v in
+      for o = 0 to Array.length copy_out - 1 do
+        let j, w = copy_out.(o) in
+        w f g.(k.params.(j))
+      done;
+      match result with Some v -> v | None -> Vint 0
+
+and block c scope body : frame -> unit =
+  let code = Array.of_list (List.map (stmt c scope) body) in
+  let m = c.m and name = c.name in
+  match code with
+  | [||] -> fun _ -> ()
+  | [| s |] ->
+      fun f ->
+        tick m name;
+        s f
+  | _ ->
+      fun f ->
+        for i = 0 to Array.length code - 1 do
+          tick m name;
+          code.(i) f
+        done
+
+and stmt c scope s : frame -> unit =
   match s with
   | Ast.Assign (target, e) | Ast.Signal_assign (target, e) ->
-      write_target t frame target (eval t frame e)
+      let e = expr c scope e and w = write c scope target in
+      fun f ->
+        let v = e f in
+        w f v
   | Ast.If (arms, els) ->
-      let n_arms = List.length arms + 1 in
-      let site = Sites.branch_site frame.site_map path in
-      let rec try_arms k = function
-        | [] ->
-            record t frame site ~arm:(List.length arms) ~n_arms;
-            exec_stmts t frame (List.length arms :: path) els
-        | (cond, body) :: rest ->
-            if as_bool (eval t frame cond) then begin
-              record t frame site ~arm:k ~n_arms;
-              exec_stmts t frame (k :: path) body
-            end
-            else try_arms (k + 1) rest
+      let record = branch_recorder c (List.length arms + 1) in
+      let arms =
+        Array.of_list
+          (List.map (fun (cond, body) -> (bool_ c scope cond, block c scope body)) arms)
       in
-      try_arms 0 arms
+      let n = Array.length arms in
+      let els = block c scope els in
+      let rec from k f =
+        if k = n then begin
+          record n;
+          els f
+        end
+        else
+          let cond, body = arms.(k) in
+          if cond f then begin
+            record k;
+            body f
+          end
+          else from (k + 1) f
+      in
+      from 0
   | Ast.Case (subject, alts) ->
-      let n_arms = List.length alts in
-      let site = Sites.branch_site frame.site_map path in
-      let v = as_int (eval t frame subject) in
-      let matches choices =
-        List.exists
-          (function
-            | Ast.Ch_others -> true
-            | Ast.Ch_expr e -> as_int (eval t frame e) = v)
-          choices
+      let record = branch_recorder c (List.length alts) in
+      let subject = int_ c scope subject in
+      let alts =
+        Array.of_list
+          (List.map
+             (fun (choices, body) ->
+               ( List.map
+                   (function Ast.Ch_others -> None | Ast.Ch_expr e -> Some (int_ c scope e))
+                   choices,
+                 block c scope body ))
+             alts)
       in
-      let rec try_alts k = function
-        | [] -> ()
-        | (choices, body) :: rest ->
-            if matches choices then begin
-              record t frame site ~arm:k ~n_arms;
-              exec_stmts t frame (k :: path) body
-            end
-            else try_alts (k + 1) rest
+      let rec matches f v = function
+        | [] -> false
+        | None :: _ -> true
+        | Some e :: rest -> e f = v || matches f v rest
       in
-      try_alts 0 alts
+      let rec from f v k =
+        if k < Array.length alts then
+          let choices, body = alts.(k) in
+          if matches f v choices then begin
+            record k;
+            body f
+          end
+          else from f v (k + 1)
+      in
+      fun f -> from f (subject f) 0
   | Ast.For (v, lo, hi, body) ->
-      let saved = Hashtbl.find_opt frame.locals v in
-      (try
-         for i = lo to hi do
-           Hashtbl.replace frame.locals v (ref (Vint i));
-           exec_stmts t frame (0 :: path) body
-         done
-       with Exit_loop_exn -> ());
-      (match saved with
-      | Some r -> Hashtbl.replace frame.locals v r
-      | None -> Hashtbl.remove frame.locals v)
+      (* A name already local gets its value back after the loop; a new
+         one goes out of scope. *)
+      let i, scope =
+        match Smap.find_opt v scope with
+        | Some i -> (i, scope)
+        | None ->
+            let i = new_slot c in
+            (i, Smap.add v i scope)
+      in
+      let body = block c scope body in
+      fun f ->
+        let saved = f.(i) in
+        (try
+           for x = lo to hi do
+             f.(i) <- Vint x;
+             body f
+           done
+         with Exit_loop_exn -> ());
+        f.(i) <- saved
   | Ast.While (cond, body) ->
-      let site = Sites.while_site frame.site_map path in
-      let iters = ref 0 in
-      (try
-         while as_bool (eval t frame cond) do
-           incr iters;
-           if !iters > t.limits.max_while_iters then raise (Limit_exceeded frame.behavior);
-           exec_stmts t frame (0 :: path) body
-         done
-       with Exit_loop_exn -> ());
-      (match site with
-      | Some site -> record_while_entry t ~behavior:frame.behavior ~site ~iters:!iters
-      | None -> ())
+      let record = while_recorder c in
+      let cond = bool_ c scope cond and body = block c scope body in
+      let max_iters = c.m.limits.max_while_iters and name = c.name in
+      fun f ->
+        let iters = ref 0 in
+        (try
+           while cond f do
+             incr iters;
+             if !iters > max_iters then raise (Limit_exceeded name);
+             body f
+           done
+         with Exit_loop_exn -> ());
+        record !iters
   | Ast.Loop_forever body -> (
       (* One start-to-finish pass, consistent with the static analysis. *)
-      try exec_stmts t frame (0 :: path) body with Exit_loop_exn -> ())
-  | Ast.Pcall (n, args) -> (
-      match find_subprogram t n with
-      | Some sub -> ignore (call_subprogram t frame sub args)
-      | None -> error "unknown procedure %s" n)
+      let body = block c scope body in
+      fun f -> try body f with Exit_loop_exn -> ())
+  | Ast.Pcall (n, args) -> procedure c scope n args
   | Ast.Par calls ->
-      List.iter
-        (fun (n, args) ->
-          match find_subprogram t n with
-          | Some sub -> ignore (call_subprogram t frame sub args)
-          | None -> error "unknown procedure %s" n)
-        calls
-  | Ast.Send (ch, e) -> Queue.push (as_int (eval t frame e)) (queue_for t ch)
+      let calls = List.map (fun (n, args) -> procedure c scope n args) calls in
+      fun f -> List.iter (fun k -> k f) calls
+  | Ast.Send (ch, e) ->
+      let q = queue_for c.m ch and e = int_ c scope e in
+      fun f -> Queue.push (e f) q
   | Ast.Receive (ch, target) ->
-      let q = queue_for t ch in
-      let v = if Queue.is_empty q then 0 else Queue.pop q in
-      write_target t frame target (Vint v)
-  | Ast.Wait_for _ | Ast.Wait_on _ -> ()
-  | Ast.Wait_until e -> ignore (eval t frame e)
-  | Ast.Return e -> raise (Return_value (Option.map (eval t frame) e))
-  | Ast.Null_stmt -> ()
-  | Ast.Exit_loop -> raise Exit_loop_exn
+      let q = queue_for c.m ch and w = write c scope target in
+      fun f -> w f (Vint (if Queue.is_empty q then 0 else Queue.pop q))
+  | Ast.Wait_for _ | Ast.Wait_on _ | Ast.Null_stmt -> fun _ -> ()
+  | Ast.Wait_until e ->
+      let e = expr c scope e in
+      fun f -> ignore (e f)
+  | Ast.Return None -> fun _ -> raise (Return_value None)
+  | Ast.Return (Some e) ->
+      let e = expr c scope e in
+      fun f -> raise (Return_value (Some (e f)))
+  | Ast.Exit_loop -> fun _ -> raise Exit_loop_exn
 
-and record t frame site ~arm ~n_arms =
-  match site with
-  | Some site -> record_branch t ~behavior:frame.behavior ~site ~arm ~n_arms
-  | None -> ()
+and procedure c scope n args =
+  match find_subprogram c n with
+  | Some sub ->
+      let k = call c scope sub args in
+      fun f -> ignore (k f)
+  | None -> fun _ -> error "unknown procedure %s" n
+
+(* Parameters, then declared variables, take slots in declaration order;
+   a repeated name keeps its first slot and takes the later value. *)
+and compile m ~name ~params ~decls body =
+  let c =
+    {
+      m;
+      name;
+      env = Sem.env_of_behavior m.sem name;
+      next_slot = 0;
+      branch_sites = 0;
+      while_sites = 0;
+    }
+  in
+  let scope = ref Smap.empty in
+  let slot n =
+    match Smap.find_opt n !scope with
+    | Some i -> i
+    | None ->
+        let i = new_slot c in
+        scope := Smap.add n i !scope;
+        i
+  in
+  let params = Array.of_list (List.map slot params) in
+  let inits =
+    List.filter_map
+      (function
+        | Ast.Var_decl { v_name; v_type; v_init; _ } ->
+            let i = slot v_name in
+            let v = Option.map (fun e -> Vint (eval_const_expr e)) v_init in
+            Some (i, match v with Some v -> Fun.const v | None -> default_of c v_type)
+        | _ -> None)
+      decls
+  in
+  let body = block c !scope body in
+  let init f = List.iter (fun (i, v) -> f.(i) <- v ()) inits in
+  { slots = c.next_slot; params; init; body }
+
+and subprogram m (sub : Ast.subprogram) =
+  cached m.subs sub.Ast.sub_name (fun () ->
+      compile m ~name:sub.Ast.sub_name
+        ~params:(List.map (fun (p : Ast.param) -> p.par_name) sub.Ast.sub_params)
+        ~decls:sub.Ast.sub_decls sub.Ast.sub_body)
 
 (* --- Entry points ------------------------------------------------------------ *)
 
@@ -450,28 +609,14 @@ let run_process t name =
     | Some p -> p
     | None -> raise Not_found
   in
-  let locals = Hashtbl.create 8 in
-  List.iter
-    (fun d ->
-      match d with
-      | Ast.Var_decl { v_name; v_type; v_init; _ } ->
-          let v =
-            match v_init with
-            | Some e -> Vint (eval_const_expr e)
-            | None -> default_value t.sem v_type
-          in
-          Hashtbl.replace locals v_name (ref v)
-      | _ -> ())
-    proc.Ast.proc_decls;
-  let frame =
-    {
-      behavior = name;
-      env = Sem.env_of_behavior t.sem name;
-      locals;
-      site_map = Hashtbl.find t.sites name;
-    }
+  let k =
+    Lazy.force
+      (cached t.procs name (fun () ->
+           compile t ~name ~params:[] ~decls:proc.Ast.proc_decls proc.Ast.proc_body))
   in
-  try exec_stmts t frame [] proc.Ast.proc_body with Return_value _ -> ()
+  let frame = Array.make k.slots (Vint 0) in
+  k.init frame;
+  try k.body frame with Return_value _ -> ()
 
 let run_all_processes t =
   let design = Sem.design t.sem in
@@ -486,20 +631,20 @@ let profile t =
   Hashtbl.iter
     (fun (behavior, site) (stat : branch_stat) ->
       if stat.visits > 0 then
-        for arm = 0 to stat.n_arms - 1 do
-          let count = Option.value (Hashtbl.find_opt stat.arms arm) ~default:0 in
-          p :=
-            Profile.set_branch !p ~behavior ~site ~arm
-              (float_of_int count /. float_of_int stat.visits)
-        done)
-    t.recorder.branch_stats;
+        Array.iteri
+          (fun arm count ->
+            p :=
+              Profile.set_branch !p ~behavior ~site ~arm
+                (float_of_int count /. float_of_int stat.visits))
+          stat.arms)
+    t.branch_stats;
   Hashtbl.iter
     (fun (behavior, site) (stat : while_stat) ->
       if stat.entries > 0 then
         p :=
           Profile.set_while !p ~behavior ~site
             ~trips:(float_of_int stat.iters /. float_of_int stat.entries))
-    t.recorder.while_stats;
+    t.while_stats;
   !p
 
 let steps t = t.step_count

@@ -15,6 +15,23 @@
     - message [send]/[receive] go through per-channel FIFOs, an empty
       FIFO yields 0.
 
+    Each behavior is compiled on its first call, once per machine, into
+    OCaml closures over a per-call frame of slots.  Names resolve at
+    compile time: parameters, declared variables and [for] variables to
+    frame slots, globals to their cells, constants to folded values, ports
+    to a read of the current stimulus, callees to their compiled code.
+    Control sites get the numbers {!Count} gives them, in the order the
+    compiler meets them.  Behavior names are unique in a design.
+
+    The compiled code behaves as a tree walk of the same AST would,
+    statement for statement: an unresolved name or call raises
+    [Runtime_error] only when it runs; every statement costs one step
+    before it runs; [exit] escapes a called procedure into the caller's
+    loop, skipping copy-out; copy-out to [a(i)] evaluates [i] again; and
+    operands and arguments are evaluated in the same order, so port reads
+    draw the same stimulus.  The tests keep that tree walk as an oracle
+    and compare the two on every observable (test/test_interp_diff.ml).
+
     Runaway protection: every statement costs one step against
     [max_steps] (a per-pass budget, reset by [run_process]), and each
     while loop is cut off at [max_while_iters] iterations per entry. *)
@@ -62,4 +79,5 @@ val profile : t -> Profile.t
     at least once). *)
 
 val steps : t -> int
-(** Statements executed in the current (or last) pass. *)
+(** Statements executed in the current (or last) pass.  A pass cut by the
+    step budget also counts the statement that exceeded it. *)

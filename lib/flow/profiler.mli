@@ -10,4 +10,5 @@ val auto :
   ?runs:int -> ?seed:int -> ?limits:Interp.limits -> Vhdl.Sem.t -> Profile.t
 (** [auto sem] runs 10 passes with seed 1 by default.  Port inputs are
     drawn uniformly from [0, 256) (scaled into small ranges by the
-    specifications' own arithmetic). *)
+    specifications' own arithmetic).  Adds the statements executed over
+    all passes of all processes to the [flow.interp_steps] counter. *)

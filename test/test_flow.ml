@@ -214,23 +214,23 @@ case z is
   when others => null;
 end case;|}
   in
-  let sites = Flow.Sites.of_body body in
+  let sites = Sites.of_body body in
   (* Pre-order: outer if = branch 0, nested if = branch 1, case = branch 2;
      the while is while-site 0. *)
-  Alcotest.(check (option int)) "outer if" (Some 0) (Flow.Sites.branch_site sites [ 0 ]);
+  Alcotest.(check (option int)) "outer if" (Some 0) (Sites.branch_site sites [ 0 ]);
   Alcotest.(check (option int)) "nested if in arm 0" (Some 1)
-    (Flow.Sites.branch_site sites [ 0; 0; 0 ]);
-  Alcotest.(check (option int)) "case" (Some 2) (Flow.Sites.branch_site sites [ 2 ]);
-  Alcotest.(check (option int)) "while" (Some 0) (Flow.Sites.while_site sites [ 1 ]);
+    (Sites.branch_site sites [ 0; 0; 0 ]);
+  Alcotest.(check (option int)) "case" (Some 2) (Sites.branch_site sites [ 2 ]);
+  Alcotest.(check (option int)) "while" (Some 0) (Sites.while_site sites [ 1 ]);
   Alcotest.(check (option int)) "plain stmt has no site" None
-    (Flow.Sites.branch_site sites [ 3 ])
+    (Sites.branch_site sites [ 3 ])
 
 let test_sites_loop_bodies_descend () =
   let body = wrap "for i in 1 to 3 loop if x > 0 then x := 1; end if; end loop;" in
-  let sites = Flow.Sites.of_body body in
+  let sites = Sites.of_body body in
   (* The if lives at: statement 0 (for), body-list 0, statement 0. *)
   Alcotest.(check (option int)) "if inside for" (Some 0)
-    (Flow.Sites.branch_site sites [ 0; 0; 0 ])
+    (Sites.branch_site sites [ 0; 0; 0 ])
 
 let suite =
   [

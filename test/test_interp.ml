@@ -225,6 +225,35 @@ let test_auto_profiler_on_benchmarks () =
         (Array.length slif.Slif.Types.chans > 0))
     Specs.Registry.all
 
+(* [flow.interp_steps] sums every pass of every process, not just the last. *)
+let test_auto_profiler_counts_steps () =
+  let steps ?limits src =
+    Slif_obs.Registry.reset ();
+    Slif_obs.Registry.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Slif_obs.Registry.disable ();
+        Slif_obs.Registry.reset ())
+      (fun () ->
+        ignore (Flow.Profiler.auto ~runs:3 ?limits (Vhdl.Sem.build (Vhdl.Parser.parse src)));
+        Slif_obs.Counter.get "flow.interp_steps")
+  in
+  let two_processes =
+    {|entity e is end;
+architecture a of e is
+  shared variable x : integer;
+begin
+  p: process begin x := 1; x := 2; end process;
+  q: process begin for i in 1 to 4 loop x := i; end loop; end process;
+end;|}
+  in
+  (* p runs 2 statements a pass, q runs 1 + 4. *)
+  Alcotest.(check int) "3 passes of both processes" (3 * (2 + 5)) (steps two_processes);
+  (* A pass cut by the step budget counts the statements it ran. *)
+  Alcotest.(check int) "budget-cut passes" (3 * 50)
+    (steps ~limits:{ Flow.Interp.max_steps = 50; max_while_iters = 1000 }
+       (wrap "x := 1; while x > 0 loop x := x + 1; end loop;"))
+
 (* --- Workload prediction vs real execution --------------------------------- *)
 
 let test_workload_matches_execution_exactly () =
@@ -346,6 +375,8 @@ let suite =
     Alcotest.test_case "profile while trips" `Quick test_profile_while_trips;
     Alcotest.test_case "profiler/Count site agreement" `Quick test_profile_site_numbering_matches_count;
     Alcotest.test_case "auto profiler on all specs" `Slow test_auto_profiler_on_benchmarks;
+    Alcotest.test_case "auto profiler counts every pass's steps" `Quick
+      test_auto_profiler_counts_steps;
     Alcotest.test_case "fuzzy controller executes" `Quick test_fuzzy_executes;
     Alcotest.test_case "workload prediction exact on fixture" `Quick
       test_workload_matches_execution_exactly;
