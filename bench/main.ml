@@ -1468,7 +1468,7 @@ let write_bench_obs () =
          ("counters", Slif_obs.Json.Obj counters);
        ]);
   (match Sys.getenv_opt "SLIF_BENCH_TRACE" with
-  | Some path -> Slif_obs.Trace.write_file path
+  | Some path -> Slif_obs.Json.write_file path (Slif_obs.Flight.to_chrome ())
   | None -> ());
   (* The bench history ledger: one JSON line per run, appended (and
      git-tracked), so perf regressions are visible as a diff rather

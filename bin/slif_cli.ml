@@ -87,8 +87,8 @@ type obs_opts = { trace : string option; metrics : string option; verbose : bool
 let obs_term =
   let trace =
     let doc =
-      "Record spans of the run and write them to $(docv) as Chrome trace_event \
-       JSON (load in chrome://tracing or https://ui.perfetto.dev)."
+      "Write the run's spans (the flight recorder's window) to $(docv) as Chrome \
+       trace_event JSON (load in chrome://tracing or https://ui.perfetto.dev)."
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
@@ -118,7 +118,9 @@ let with_obs opts f =
   let export () =
     if active then begin
       Slif_obs.Registry.disable ();
-      Option.iter Slif_obs.Trace.write_file opts.trace;
+      Option.iter
+        (fun path -> Slif_obs.Json.write_file path (Slif_obs.Flight.to_chrome ()))
+        opts.trace;
       Option.iter
         (fun path ->
           if is_jsonl path then Slif_obs.Metrics.write_jsonl path
@@ -410,8 +412,7 @@ let figure4_cmd =
         ~header:[ ""; "Lines"; "BV"; "C"; "T-slif(s)"; "T-est(s)"; "parts/s" ]
     in
     let measure (spec : Specs.Registry.spec) =
-      Slif_obs.Span.with_ "figure4.spec" ~args:[ ("spec", spec.spec_name) ]
-      @@ fun () ->
+      Slif_obs.Span.with_ "figure4.spec" @@ fun () ->
       let build () =
         let design = Vhdl.Parser.parse spec.source in
         let sem = Vhdl.Sem.build design in

@@ -77,9 +77,7 @@ let variable_weights ~techs ~storage_bits =
     ([], []) techs
 
 let run ?(profile = Flow.Profile.empty) ~techs sem (slif : Types.t) =
-  Slif_obs.Span.with_ "slif.annotate"
-    ~args:[ ("design", slif.Types.design_name) ]
-  @@ fun () ->
+  Slif_obs.Span.with_ "slif.annotate" @@ fun () ->
   let nodes =
     Array.map
       (fun (node : Types.node) ->

@@ -1,6 +1,5 @@
 let auto ?(runs = 10) ?(seed = 1) ?(limits = Interp.default_limits) sem =
-  Slif_obs.Span.with_ "flow.auto_profile" ~args:[ ("runs", string_of_int runs) ]
-  @@ fun () ->
+  Slif_obs.Span.with_ "flow.auto_profile" @@ fun () ->
   let rng = Slif_util.Prng.create seed in
   let machine =
     Interp.create ~limits ~inputs:(fun _ -> Slif_util.Prng.int rng 256) sem

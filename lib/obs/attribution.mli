@@ -6,12 +6,16 @@
     scaling report can answer "where did the cores go":
 
     - [Task_run] — executing pool task bodies (gross, including any GC
-      pauses, lock waits and engine copies that happened inside);
+      pauses, lock waits and engine re-acquisitions that happened
+      inside);
     - [Queue_wait] — pool-internal queue machinery: waiting on and
       holding the pool's queue lock between tasks;
     - [Lock_wait] — blocked acquiring an instrumented {!Lockprof} lock;
     - [Gc] — runtime/GC pauses ({!Gcprof} timing, process-wide);
-    - [Copy] — [Specsyn.Engine.copy] per-task clone cost;
+    - [Copy] — engine re-acquisition cost: [Specsyn.Engine.acquire]
+      rescoring a per-domain replica for each work item (the name
+      predates the replicas and stays, as it is part of schema
+      [slif-profile/1]);
     - [Idle] — parked on the pool's condition variable with no work.
 
     Producers ({!Slif_util.Pool}, {!Lockprof}, the engine) call {!add}
@@ -20,7 +24,7 @@
     never lock.  The accounting is gated by its own switch, independent
     of the span registry: a disabled profiler costs one atomic load per
     probe site.  {!report} resolves the double counting: the sub-costs
-    measured inside tasks (lock wait, GC, copy) are carved out of the
+    measured inside tasks (lock wait, GC, re-acquisition) are carved out of the
     gross task-run time, so the categories of one domain sum to at most
     its measured wall time and the [coverage] ratio says how much of the
     wall the profiler could name.  Readers are meant to run at quiescent

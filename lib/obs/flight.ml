@@ -1,9 +1,10 @@
 (* The always-on flight recorder: one fixed-size ring of compact records
-   per domain, written on every span and event whether or not the span
-   registry is armed.  The black box for the daemon — when a request
-   turns out slow or failing *after the fact*, its spans are still in
-   the window and can be retained, without paying list allocation or
-   the registry's unbounded buffers on the fast path.
+   per domain, written on every span and event whether or not the
+   registry is armed.  The process's one span store: the CLI's --trace
+   export, the daemon's dump and tail-retained traces all read it.  When
+   a request turns out slow or failing *after the fact*, its spans are
+   still in the window and can be retained, without paying list
+   allocation on the fast path.
 
    Hot-path cost budget: one atomic load (the [enabled] switch), one
    atomic fetch-and-add per span id, and a handful of array stores into
@@ -17,13 +18,13 @@
    records of a completed request are only at risk once the ring has
    wrapped past them. *)
 
-type kind = Span | Event
+type kind = Span | Event | Counter
 
 type record = {
   fr_kind : kind;
   fr_name : string;
   fr_ts_ns : int;  (* absolute monotonic clock, ns *)
-  fr_dur_ns : int;
+  fr_dur_ns : int;  (* the sampled value for a counter *)
   fr_id : int;  (* span id; 0 for events *)
   fr_parent : int;  (* parent span id; 0 = root *)
   fr_dom : int;
@@ -103,7 +104,8 @@ let next_id () = Atomic.fetch_and_add ids 1
 
 let write r kind ~name ~ts_ns ~dur_ns ~id ~parent ~trace =
   let i = r.rg_head mod r.rg_cap in
-  Bytes.unsafe_set r.rg_kinds i (if kind = Span then '\000' else '\001');
+  Bytes.unsafe_set r.rg_kinds i
+    (match kind with Span -> '\000' | Event -> '\001' | Counter -> '\002');
   r.rg_names.(i) <- name;
   r.rg_ts.(i) <- ts_ns;
   r.rg_durs.(i) <- dur_ns;
@@ -127,6 +129,13 @@ let record_event ?dur_ns name =
       ~dur_ns:(Option.value dur_ns ~default:0)
       ~id:0 ~parent ~trace
   end
+
+(* A counter-track sample: the value rides in the duration slot. *)
+let record_counter name value =
+  if Atomic.get enabled then
+    write (ring ()) Counter ~name
+      ~ts_ns:(Int64.to_int (Clock.now_ns ()))
+      ~dur_ns:value ~id:0 ~parent:0 ~trace:""
 
 (* --- Stats ----------------------------------------------------------------- *)
 
@@ -161,7 +170,11 @@ let ring_records acc r =
     let i = n mod r.rg_cap in
     out :=
       {
-        fr_kind = (if Bytes.get r.rg_kinds i = '\000' then Span else Event);
+        fr_kind =
+          (match Bytes.get r.rg_kinds i with
+          | '\000' -> Span
+          | '\001' -> Event
+          | _ -> Counter);
         fr_name = r.rg_names.(i);
         fr_ts_ns = r.rg_ts.(i);
         fr_dur_ns = r.rg_durs.(i);
@@ -183,17 +196,15 @@ let by_trace trace = List.filter (fun r -> r.fr_trace = trace) (snapshot ())
 (* --- Chrome trace_event export --------------------------------------------- *)
 
 (* The flight window as a Chrome/Perfetto trace: spans are complete
-   events on their domain's lane, events are instants.  Timestamps are
-   rebased to the window's oldest record so the view opens at zero. *)
+   events on their domain's lane, events are instants, counter samples
+   are "C" events (Perfetto folds them into one track per name).
+   Timestamps are rebased to the window's oldest record so the view
+   opens at zero. *)
 let to_chrome () =
   let records = snapshot () in
   let t0 = match records with [] -> 0 | r :: _ -> r.fr_ts_ns in
   let json_of r =
-    let args =
-      [ ("id", Json.Int r.fr_id); ("parent", Json.Int r.fr_parent) ]
-      @ if r.fr_trace = "" then [] else [ ("trace_id", Json.String r.fr_trace) ]
-    in
-    let base =
+    let base args =
       [
         ("name", Json.String r.fr_name);
         ("ts", Json.Float (float_of_int (r.fr_ts_ns - t0) /. 1e3));
@@ -202,15 +213,21 @@ let to_chrome () =
         ("args", Json.Obj args);
       ]
     in
+    let ids =
+      [ ("id", Json.Int r.fr_id); ("parent", Json.Int r.fr_parent) ]
+      @ if r.fr_trace = "" then [] else [ ("trace_id", Json.String r.fr_trace) ]
+    in
     match r.fr_kind with
     | Span ->
         Json.Obj
-          (base
+          (base ids
           @ [
               ("ph", Json.String "X");
               ("dur", Json.Float (float_of_int r.fr_dur_ns /. 1e3));
             ])
-    | Event -> Json.Obj (base @ [ ("ph", Json.String "i"); ("s", Json.String "t") ])
+    | Event -> Json.Obj (base ids @ [ ("ph", Json.String "i"); ("s", Json.String "t") ])
+    | Counter ->
+        Json.Obj (base [ ("value", Json.Int r.fr_dur_ns) ] @ [ ("ph", Json.String "C") ])
   in
   Json.Obj
     [

@@ -1,10 +1,12 @@
 (** Always-on flight recorder: per-domain fixed-size rings of compact
-    span/event records.
+    span/event/counter records — the process's one span store.
 
-    Unlike the {!Registry} span buffers (armed explicitly, unbounded up
-    to a cap, list-allocated), the flight recorder runs from process
-    start: every {!Span.with_} and {!Event.emit} lands one record in the
-    calling domain's ring, whether or not the registry switch is on.
+    The recorder runs from process start: every {!Span.with_} and
+    {!Event.emit} lands one record in the calling domain's ring, whether
+    or not the registry switch is on.  Every Chrome export reads it:
+    the CLI's [--trace], [slif profile --trace], the bench's
+    [SLIF_BENCH_TRACE] and the daemon's [dump] op all go through
+    {!to_chrome}.
     When a request later proves slow or failing, its complete span tree
     is still in the window and can be retained — tail-based sampling
     without deciding anything up front.
@@ -18,13 +20,16 @@
     busy ring as best-effort.  Everything else — ids, parents, trace
     ids — is exact. *)
 
-type kind = Span | Event
+type kind =
+  | Span
+  | Event
+  | Counter  (** a counter-track sample; the value is in [fr_dur_ns] *)
 
 type record = {
   fr_kind : kind;
   fr_name : string;
   fr_ts_ns : int;  (** absolute monotonic clock, ns *)
-  fr_dur_ns : int;  (** 0 for instant events *)
+  fr_dur_ns : int;  (** 0 for instant events; the value for counters *)
   fr_id : int;  (** span id; 0 for events *)
   fr_parent : int;  (** parent span id; 0 = root *)
   fr_dom : int;  (** domain that wrote the record *)
@@ -64,6 +69,9 @@ val record_event : ?dur_ns:int -> string -> unit
 (** Write one instant event; trace id and parent span come from the
     calling domain's ambient {!Registry} context. *)
 
+val record_counter : string -> int -> unit
+(** Write one counter-track sample ([record_counter name value]). *)
+
 type ring_stat = {
   rs_dom : int;
   rs_capacity : int;
@@ -88,8 +96,11 @@ val by_trace : string -> record list
 
 val to_chrome : unit -> Json.t
 (** The window as a Chrome [trace_event] object: spans as ["X"]
-    complete events (one lane per domain), events as instants,
-    timestamps rebased to the window's oldest record. *)
+    complete events (one lane per domain) with [id]/[parent]/[trace_id]
+    args, events as ["i"] instants, counter samples as ["C"] events;
+    timestamps rebased to the window's oldest record.  [flightRecords]
+    and [flightDropped] say whether the window wrapped. *)
 
 val reset : unit -> unit
-(** Empty every ring (tests). *)
+(** Empty every ring, e.g. so a profiled run's export holds that run
+    alone. *)

@@ -126,13 +126,6 @@ let snapshot () =
   Hashtbl.fold (fun name h acc -> (name, summary_of h) :: acc) (merged_tbl ()) []
   |> List.sort compare
 
-let snapshot_quantiles () =
-  Hashtbl.fold
-    (fun name (h : Registry.hist) acc ->
-      (name, quantiles_of_buckets ~count:h.h_count ~max_seen:h.h_max h.h_buckets) :: acc)
-    (merged_tbl ()) []
-  |> List.sort compare
-
 (* One merged read feeding both views, so the pairs cannot drift under
    concurrent observation. *)
 let snapshot_full () =
@@ -230,3 +223,10 @@ let window_quantiles w =
     let at q = sorted.(rank_of q n - 1) in
     Some { q_count = n; q_p50 = at 0.5; q_p90 = at 0.9; q_p99 = at 0.99; q_max = sorted.(n - 1) }
   end
+
+let window_sum w =
+  let s = ref 0.0 in
+  for i = 0 to window_size w - 1 do
+    s := !s +. w.w_ring.(i)
+  done;
+  !s

@@ -40,9 +40,6 @@ val quantiles : string -> quantiles option
 val snapshot : unit -> (string * summary) list
 (** All histograms, sorted by name. *)
 
-val snapshot_quantiles : unit -> (string * quantiles) list
-(** All histograms' quantile estimates, sorted by name. *)
-
 val snapshot_full : unit -> (string * summary * quantiles) list
 (** Summary and quantiles from one merged read, sorted by name. *)
 
@@ -86,3 +83,7 @@ val window_size : window -> int
 
 val window_quantiles : window -> quantiles option
 (** Exact quantiles of the held observations; [None] when empty. *)
+
+val window_sum : window -> float
+(** Sum of the held observations (0 when empty) — the [_sum] that
+    pairs with {!window_quantiles}' [q_count]. *)

@@ -1,6 +1,6 @@
 (** Minimal JSON tree, printer and parser.
 
-    The exporters ({!Trace}, {!Metrics}) need to emit strictly valid JSON
+    The exporters ({!Flight.to_chrome}, {!Metrics}) need to emit strictly valid JSON
     and the test suite needs to check the emitted files parse back; the
     sealed image has no JSON library, so this is a small self-contained
     implementation.  Floats that are not finite print as [null]. *)

@@ -19,7 +19,7 @@ let to_json () =
       ( "histograms",
         Json.Obj
           (List.map (fun (name, s, q) -> (name, hist_json s q)) (Histogram.snapshot_full ())) );
-      ("dropped_span_events", Json.Int (Registry.dropped_events ()));
+      ("dropped_span_events", Json.Int (Flight.dropped_total ()));
     ]
 
 let write_file path = Json.write_file path (to_json ())

@@ -8,7 +8,8 @@ val to_json : unit -> Json.t
        "dropped_span_events":n} v}
     The p50/p90/p99 fields are log-bucket estimates
     ({!Histogram.quantiles}); a bare lifetime summary without them is no
-    longer emitted. *)
+    longer emitted.  [dropped_span_events] counts flight records lost to
+    ring wrap ({!Flight.dropped_total}). *)
 
 val write_file : string -> unit
 (** Write the summary-JSON form. *)

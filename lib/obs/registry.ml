@@ -1,12 +1,3 @@
-type span_event = {
-  ev_name : string;
-  ev_ts_ns : int64;
-  ev_dur_ns : int64;
-  ev_depth : int;
-  ev_dom : int;
-  ev_args : (string * string) list;
-}
-
 type hist = {
   mutable h_count : int;
   mutable h_sum : float;
@@ -14,8 +5,6 @@ type hist = {
   mutable h_max : float;
   h_buckets : int array;  (* log-spaced; geometry lives in Histogram *)
 }
-
-type counter_sample = { sa_name : string; sa_ts_ns : int64; sa_value : float; sa_dom : int }
 
 (* Counter cells are padded out to [cell_words] machine words (two 64-byte
    cache lines including the array header) with the live value in slot 0.
@@ -32,12 +21,6 @@ type local = {
   dom : int;
   counters : (string, int array) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
-  mutable events : span_event list;  (* newest first *)
-  mutable n_events : int;
-  mutable dropped : int;
-  mutable samples : counter_sample list;  (* newest first *)
-  mutable n_samples : int;
-  mutable depth : int;
   mutable trace : string option;
   mutable span : int;  (* innermost open span id (Flight); 0 = none *)
 }
@@ -46,8 +29,6 @@ type local = {
    keeps the disabled-mode cost at one load and branch while staying
    race-free under domains. *)
 let enabled = Atomic.make false
-let epoch = ref 0L
-let max_events = Atomic.make 200_000
 
 (* One [local] per domain that ever probed, handed out through
    domain-local storage so the hot paths never lock.  The cells are also
@@ -65,12 +46,6 @@ let key =
           dom = (Domain.self () :> int);
           counters = Hashtbl.create 64;
           hists = Hashtbl.create 64;
-          events = [];
-          n_events = 0;
-          dropped = 0;
-          samples = [];
-          n_samples = 0;
-          depth = 0;
           trace = None;
           span = 0;
         }
@@ -91,11 +66,7 @@ let fold_locals f acc =
 
 let on () = Atomic.get enabled
 
-let enable () =
-  if not (Atomic.get enabled) then begin
-    Atomic.set enabled true;
-    if !epoch = 0L then epoch := Clock.now_ns ()
-  end
+let enable () = Atomic.set enabled true
 
 let disable () = Atomic.set enabled false
 
@@ -108,32 +79,13 @@ let reset () =
          re-arms the registry. *)
       Hashtbl.iter (fun _ c -> Array.fill c 0 cell_words 0) l.counters;
       Hashtbl.reset l.hists;
-      l.events <- [];
-      l.n_events <- 0;
-      l.dropped <- 0;
-      l.samples <- [];
-      l.n_samples <- 0;
-      l.depth <- 0;
       l.span <- 0)
-    ();
-  epoch := Clock.now_ns ()
-
-let epoch_ns () = !epoch
-
-let depth () = (local ()).depth
+    ()
 
 (* The ambient request identity of the calling domain.  Deliberately
    independent of [on ()]: the event log tags lines with the trace id
    even when span/counter recording is off. *)
-let set_trace id = (local ()).trace <- id
-
 let current_trace () = (local ()).trace
-
-let with_trace id f =
-  let l = local () in
-  let saved = l.trace in
-  l.trace <- Some id;
-  Fun.protect ~finally:(fun () -> l.trace <- saved) f
 
 (* The causality context: the innermost open span id, minted by the
    flight recorder.  Like the trace id it is independent of [on ()] —
@@ -152,41 +104,4 @@ let with_causality ?trace ?parent f =
       l.span <- saved_span)
     f
 
-let push_event l ev =
-  if l.n_events >= Atomic.get max_events then l.dropped <- l.dropped + 1
-  else begin
-    l.events <- ev :: l.events;
-    l.n_events <- l.n_events + 1
-  end
-
-let all_events () =
-  fold_locals (fun acc l -> acc @ List.rev l.events) []
-
-(* Timestamped gauge samples for the trace export's counter tracks.
-   Same cell discipline as spans: the producer touches only its own
-   domain, the reader merges.  Shares the span cap so a runaway sampler
-   is bounded by the same knob. *)
-let sample name value =
-  if Atomic.get enabled then begin
-    let l = local () in
-    if l.n_samples >= Atomic.get max_events then l.dropped <- l.dropped + 1
-    else begin
-      l.samples <-
-        {
-          sa_name = name;
-          sa_ts_ns = Int64.sub (Clock.now_ns ()) !epoch;
-          sa_value = value;
-          sa_dom = l.dom;
-        }
-        :: l.samples;
-      l.n_samples <- l.n_samples + 1
-    end
-  end
-
-let all_samples () = fold_locals (fun acc l -> acc @ List.rev l.samples) []
-
-let dropped_events () = fold_locals (fun acc l -> acc + l.dropped) 0
-
-let set_max_events n =
-  if n < 0 then invalid_arg "Registry.set_max_events";
-  Atomic.set max_events n
+let with_trace id f = with_causality ~trace:id f

@@ -1,51 +1,40 @@
 (** Process-global observability state, domain-safe.
 
     One registry per process: a master switch and, per domain that ever
-    probed, a private cell of counter/histogram tables, a span-event
-    buffer and the span nesting depth.  Probes touch only their own
-    domain's cell (reached through [Domain.DLS], never a lock), so the
-    instrumented hot paths stay race-free when they run inside a
-    {!Slif_util.Pool} worker; exporters merge the cells at read time.
-    Everything funnels through {!on} first, so a disabled registry costs
-    exactly one atomic [bool] load and branch per probe (target: <5%
-    overhead on [bench/main.ml]; measured in its A6 section).
+    probed, a private cell of counter/histogram tables plus the
+    causality context (ambient trace id, innermost open span id).
+    Probes touch only their own domain's cell (reached through
+    [Domain.DLS], never a lock), so the instrumented hot paths stay
+    race-free when they run inside a {!Slif_util.Pool} worker; exporters
+    merge the cells at read time.  Counters and histograms funnel
+    through {!on} first, so a disabled registry costs exactly one atomic
+    [bool] load and branch per probe (target: <5% overhead on
+    [bench/main.ml]; measured in its A6 section).  Spans and events are
+    not stored here: {!Flight} is the one span store.
 
     Merge semantics: counters sum across domains; histograms combine
-    count/sum/min/max; span events interleave (the trace export orders
-    them by timestamp and tags each with its domain id).  A domain's cell
-    outlives the domain, so the data of joined pool workers survives
-    until export.  {!enable}, {!disable}, {!reset} and the exporters are
-    meant to be called from quiescent points (no concurrent probes), as
-    the CLI and bench drivers do. *)
+    count/sum/min/max.  A domain's cell outlives the domain, so the data
+    of joined pool workers survives until export.  {!enable},
+    {!disable}, {!reset} and the exporters are meant to be called from
+    quiescent points (no concurrent probes), as the CLI and bench
+    drivers do. *)
 
 val on : unit -> bool
-(** True when recording is enabled.  Every probe in {!Counter},
-    {!Histogram} and {!Span} checks this first and is a no-op when it is
-    false. *)
+(** True when recording is enabled.  Every probe in {!Counter} and
+    {!Histogram} (and {!Span}'s duration histogram) checks this first
+    and is a no-op when it is false. *)
 
 val enable : unit -> unit
-(** Turn recording on.  The first call pins the trace epoch (timestamp
-    zero for exported spans). *)
+(** Turn recording on. *)
 
 val disable : unit -> unit
 (** Turn recording off; accumulated data is kept for export. *)
 
 val reset : unit -> unit
-(** Zero every domain's counters, histograms and span events and re-pin
-    the epoch.  Does not change the enabled flag. *)
+(** Zero every domain's counters and histograms.  Does not change the
+    enabled flag. *)
 
 (** {2 Internal surface used by the sibling modules} *)
-
-type span_event = {
-  ev_name : string;
-  ev_ts_ns : int64;  (** start, relative to the epoch *)
-  ev_dur_ns : int64;
-  ev_depth : int;  (** nesting depth at entry in its domain; 0 = top level *)
-  ev_dom : int;  (** id of the domain that recorded the span *)
-  ev_args : (string * string) list;
-}
-
-val epoch_ns : unit -> int64
 
 type hist = {
   mutable h_count : int;
@@ -55,13 +44,6 @@ type hist = {
   h_buckets : int array;
       (** log-spaced observation counts; the geometry (base, offset,
           width) is owned by {!Histogram} *)
-}
-
-type counter_sample = {
-  sa_name : string;
-  sa_ts_ns : int64;  (** relative to the epoch, like span timestamps *)
-  sa_value : float;
-  sa_dom : int;  (** domain that took the sample *)
 }
 
 val cell_words : int
@@ -79,12 +61,6 @@ type local = {
       (** padded cells ({!cell_words} words, value in slot 0); zeroed in
           place by {!reset} so resolved {!Counter.cell} handles survive *)
   hists : (string, hist) Hashtbl.t;
-  mutable events : span_event list;  (** newest first *)
-  mutable n_events : int;
-  mutable dropped : int;
-  mutable samples : counter_sample list;  (** newest first *)
-  mutable n_samples : int;
-  mutable depth : int;  (** span nesting depth (maintained by {!Span.with_}) *)
   mutable trace : string option;  (** ambient request trace id, if any *)
   mutable span : int;
       (** innermost open span id (minted by {!Flight.next_id}, maintained
@@ -101,19 +77,14 @@ val fold_locals : ('a -> local -> 'a) -> 'a -> 'a
     exporters merge.  Takes the registration lock only to snapshot the
     cell list. *)
 
-val depth : unit -> int
-(** Current span nesting depth of the calling domain. *)
-
-val set_trace : string option -> unit
-(** Set (or clear) the calling domain's ambient trace id.  Spans opened
-    while it is set carry a [trace_id] arg, and {!Event.emit} tags its
-    lines with it.  Works whether or not recording is enabled. *)
-
 val current_trace : unit -> string option
+(** The calling domain's ambient trace id.  Spans opened while it is
+    set carry it, and {!Event.emit} tags its lines with it.  Live
+    whether or not recording is enabled. *)
 
 val with_trace : string -> (unit -> 'a) -> 'a
 (** Run [f] with the trace id set, restoring the previous id afterwards
-    (even on raise). *)
+    (even on raise); {!with_causality} with [~trace] alone. *)
 
 val current_span : unit -> int
 (** The calling domain's innermost open span id (0 = none).  Like
@@ -126,28 +97,3 @@ val with_causality : ?trace:string -> ?parent:int -> (unit -> 'a) -> 'a
     causality crosses a domain hop: the dispatching side captures
     {!current_trace}/{!current_span}, the executing side re-enters them
     here, and every span or event recorded inside parents correctly. *)
-
-val push_event : local -> span_event -> unit
-(** Append a completed span to the domain's buffer, dropping it (and
-    counting the drop) past {!set_max_events}. *)
-
-val all_events : unit -> span_event list
-(** Completed spans, per-domain completion order, domains in ascending
-    id order. *)
-
-val dropped_events : unit -> int
-(** Total drops across all domains. *)
-
-val sample : string -> float -> unit
-(** Record a timestamped gauge sample in the calling domain's cell —
-    the trace export turns each name into a Perfetto counter track
-    ([ph:"C"]).  No-op while disabled; bounded by {!set_max_events}
-    (excess samples count as drops). *)
-
-val all_samples : unit -> counter_sample list
-(** All gauge samples, per-domain chronological order, domains in
-    ascending id order. *)
-
-val set_max_events : int -> unit
-(** Cap each domain's span buffer (default 200_000 events) so a runaway
-    annealing trace cannot exhaust memory. *)

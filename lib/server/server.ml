@@ -150,7 +150,6 @@ type state = {
   worker_served : int array;  (** per-worker completions, drained single-threaded *)
   queue_wait : Obs.Histogram.t;
   mutable last_error : string option;
-  per_op : (string, int ref) Hashtbl.t;
   lat : (string, op_lat) Hashtbl.t;
   mutable select_idle_us : float;  (** time parked in [select] with nothing to do *)
   mutable loop_iters : int;
@@ -184,28 +183,21 @@ let store_handle_capacity = 64
    dispatch on without parsing the message. *)
 exception Typed_error of string * string
 
-(* Every op the daemon can ever serve, so one [metrics] scrape exposes
-   the full family set even before traffic arrives. *)
-let known_ops =
-  [ "load"; "estimate"; "partition"; "explore"; "batch"; "stats"; "health";
-    "metrics"; "dump"; "traces"; "shutdown"; "malformed" ]
-
 (* Process-wide labeled families (per-worker requests, batch items by
    op); the [stats] op reports daemon-local exact figures from [state]
    instead, since families outlive any one daemon in a test process. *)
 let worker_family () = Obs.Family.create "server.worker.requests" ~label:"worker"
 let batch_family () = Obs.Family.create "server.batch.items" ~label:"op"
 
-let lat_for st op =
-  match Hashtbl.find_opt st.lat op with
-  | Some l -> l
-  | None ->
-      let l = { lt = Obs.Histogram.create (); win = Obs.Histogram.window () } in
-      Hashtbl.add st.lat op l;
-      l
-
 let record_latency st op dur_us =
-  let l = lat_for st op in
+  let l =
+    match Hashtbl.find_opt st.lat op with
+    | Some l -> l
+    | None ->
+        let l = { lt = Obs.Histogram.create (); win = Obs.Histogram.window () } in
+        Hashtbl.add st.lat op l;
+        l
+  in
   Obs.Histogram.record l.lt dur_us;
   Obs.Histogram.window_record l.win dur_us
 
@@ -219,15 +211,6 @@ let account st (a : acct) =
   if a.a_wire then st.served <- st.served + 1
   else Obs.Family.incr (batch_family ()) a.a_op;
   Obs.Counter.incr ("server.request." ^ a.a_op);
-  let cell =
-    match Hashtbl.find_opt st.per_op a.a_op with
-    | Some c -> c
-    | None ->
-        let c = ref 0 in
-        Hashtbl.add st.per_op a.a_op c;
-        c
-  in
-  incr cell;
   record_latency st a.a_op a.a_dur_us;
   match a.a_err with Some msg -> note_error st msg | None -> ()
 
@@ -387,555 +370,70 @@ let resolve env target profile =
               Lru.Sharded.add env.x_lru key slif;
               Ok (key, slif)))
 
-(* --- Telemetry views -------------------------------------------------------- *)
+(* --- Telemetry snapshot ------------------------------------------------------ *)
 
-let uptime_s st = (Obs.Clock.now_us () -. st.started_us) /. 1e6
-
-let gc_counts_fields (c : Obs.Gcprof.counts) =
-  let module J = Obs.Json in
-  [
-    ("minor_collections", J.Int c.minor_collections);
-    ("major_collections", J.Int c.major_collections);
-    ("compactions", J.Int c.compactions);
-    ("minor_words", J.Float c.minor_words);
-    ("promoted_words", J.Float c.promoted_words);
-    ("major_words", J.Float c.major_words);
-  ]
-
-(* The GC block served by [stats] and [health]: process totals, current
-   heap size, and the per-domain split (a hot worker shows up as the
-   domain doing the collecting). *)
-let gc_json () =
-  let module J = Obs.Json in
-  Obs.Gcprof.sample ();
-  J.Obj
-    (gc_counts_fields (Obs.Gcprof.counts ())
-    @ [
-        ("heap_words", J.Int (Obs.Gcprof.heap_words ()));
-        ( "per_domain",
-          J.Obj
-            (List.map
-               (fun (dom, c) -> (string_of_int dom, J.Obj (gc_counts_fields c)))
-               (Obs.Gcprof.per_domain ())) );
-      ])
-
-let pool_json () =
-  let module J = Obs.Json in
-  let g = Slif_util.Pool.global_stats () in
-  J.Obj
-    [
-      ("pools_created", J.Int g.Slif_util.Pool.g_pools_created);
-      ("pools_live", J.Int g.Slif_util.Pool.g_pools_live);
-      ("tasks_submitted", J.Int g.Slif_util.Pool.g_tasks_submitted);
-      ("tasks_completed", J.Int g.Slif_util.Pool.g_tasks_completed);
-    ]
-
-(* The flight-recorder block served by [stats] and the SIGUSR1 dump:
-   per-domain ring health plus the tail-retention ledger — black-box
-   health without stopping the daemon. *)
-let flight_json st =
-  let module J = Obs.Json in
-  J.Obj
-    [
-      ("records", J.Int (Obs.Flight.records_total ()));
-      ("dropped", J.Int (Obs.Flight.dropped_total ()));
-      ("retained", J.Int st.retained_total);
-      ("retained_live", J.Int (Queue.length st.retained));
-      ("dump_bytes", J.Int st.dump_bytes);
-      ( "rings",
-        J.List
-          (List.map
-             (fun (r : Obs.Flight.ring_stat) ->
-               J.Obj
-                 [
-                   ("domain", J.Int r.rs_dom);
-                   ("capacity", J.Int r.rs_capacity);
-                   ("records", J.Int r.rs_records);
-                   ("dropped", J.Int r.rs_dropped);
-                   ("occupancy", J.Int r.rs_occupancy);
-                 ])
-             (Obs.Flight.ring_stats ())) );
-    ]
-
-(* The worker/queue block served by [stats] and [health]: daemon-local
-   exact figures (the Family counters are process-wide). *)
-let server_json st =
-  let module J = Obs.Json in
-  J.Obj
-    [
-      ("workers", J.Int st.cfg.workers);
-      ("queue_depth", J.Int (queue_depth st));
-      ("jobs_inflight", J.Int st.jobs_inflight);
-      ( "per_worker",
-        J.Obj
-          (Array.to_list (Array.mapi (fun w n -> (string_of_int w, J.Int n)) st.worker_served))
-      );
-      ("outq_overflows", J.Int st.outq_overflows);
-      ("dropped_responses", J.Int st.dropped_responses);
-      ("rejected_connections", J.Int st.rejected_conns);
-    ]
-
-let lru_shards_json st =
-  let module J = Obs.Json in
-  J.List
-    (List.map
-       (fun (s : Lru.Sharded.shard_stat) ->
-         J.Obj
-           [
-             ("shard", J.Int s.sh_index);
-             ("size", J.Int s.sh_size);
-             ("capacity", J.Int s.sh_capacity);
-             ("hits", J.Int s.sh_hits);
-             ("misses", J.Int s.sh_misses);
-           ])
-       (Lru.Sharded.shard_stats st.lru))
-
-let sorted_ops st =
-  Hashtbl.fold (fun op l acc -> (op, l) :: acc) st.lat [] |> List.sort compare
-
-let quantiles_json (q : Obs.Histogram.quantiles) =
-  let module J = Obs.Json in
-  J.Obj
-    [
-      ("count", J.Int q.q_count);
-      ("p50", J.Float q.q_p50);
-      ("p90", J.Float q.q_p90);
-      ("p99", J.Float q.q_p99);
-      ("max", J.Float q.q_max);
-    ]
-
-(* The [stats] latency block reports the sliding window — what the
-   daemon is doing now — not lifetime averages. *)
-let latency_json st =
-  let module J = Obs.Json in
-  J.Obj
-    (List.filter_map
-       (fun (op, l) ->
-         Option.map (fun q -> (op, quantiles_json q)) (Obs.Histogram.window_quantiles l.win))
-       (sorted_ops st))
-
-let prometheus_text st =
-  let module P = Obs.Prometheus in
-  let per_op_counts =
-    Hashtbl.fold (fun op c acc -> ([ ("op", op) ], float_of_int !c) :: acc) st.per_op []
-    |> List.sort compare
+(* The one read of everything the telemetry views report.  Runs on the
+   acceptor (which owns [st]) once per stats/health/metrics/dump request
+   or SIGUSR1; every view is then a pure renderer of the snapshot. *)
+let telemetry st : Telemetry.t =
+  let quantiles_and_sum h =
+    if Obs.Histogram.count h = 0 then None
+    else Some (Obs.Histogram.quantile_summary h, Obs.Histogram.sum h)
   in
-  let lifetime_series =
-    List.filter_map
-      (fun (op, l) ->
-        if Obs.Histogram.count l.lt = 0 then None
-        else
-          Some
-            ([ ("op", op) ], Obs.Histogram.quantile_summary l.lt, Obs.Histogram.sum l.lt))
-      (sorted_ops st)
-  in
-  let recent_series =
-    List.filter_map
-      (fun (op, l) ->
-        Option.map
-          (fun q -> ([ ("op", op) ], q, 0.0))
-          (Obs.Histogram.window_quantiles l.win))
-      (sorted_ops st)
+  (* An op enters [st.lat] with its first request, so both views exist. *)
+  let ops =
+    Hashtbl.fold (fun op l acc -> (op, l) :: acc) st.lat []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.filter_map (fun (op, l) ->
+           Option.map
+             (fun q ->
+               {
+                 Telemetry.op;
+                 lifetime = (Obs.Histogram.quantile_summary l.lt, Obs.Histogram.sum l.lt);
+                 recent = (q, Obs.Histogram.window_sum l.win);
+               })
+             (Obs.Histogram.window_quantiles l.win))
   in
   Obs.Gcprof.sample ();
-  let dom_label d = [ ("domain", string_of_int d) ] in
-  let gc_per_domain = Obs.Gcprof.per_domain () in
-  let gc_counter name help pick =
-    P.Counter
-      {
-        name;
-        help;
-        samples = List.map (fun (d, c) -> (dom_label d, pick c)) gc_per_domain;
-      }
-  in
-  let gc_families =
-    [
-      gc_counter "slif_gc_minor_collections_total" "Minor collections, by domain."
-        (fun (c : Obs.Gcprof.counts) -> float_of_int c.minor_collections);
-      gc_counter "slif_gc_major_collections_total" "Major collection cycles, by domain."
-        (fun c -> float_of_int c.major_collections);
-      gc_counter "slif_gc_compactions_total" "Heap compactions, by domain." (fun c ->
-          float_of_int c.compactions);
-      gc_counter "slif_gc_minor_words_total" "Words allocated on minor heaps, by domain."
-        (fun c -> c.minor_words);
-      gc_counter "slif_gc_promoted_words_total"
-        "Words promoted from minor to major heap, by domain." (fun c -> c.promoted_words);
-      gc_counter "slif_gc_major_words_total"
-        "Words allocated on the major heap (including promotions), by domain." (fun c ->
-          c.major_words);
-      P.Gauge
-        {
-          name = "slif_gc_heap_words";
-          help = "Current major-heap size of the process, in words.";
-          samples = [ ([], float_of_int (Obs.Gcprof.heap_words ())) ];
-        };
-    ]
-  in
-  let pg = Slif_util.Pool.global_stats () in
-  let pool_families =
-    [
-      P.Counter
-        {
-          name = "slif_pool_pools_created_total";
-          help = "Domain pools ever created.";
-          samples = [ ([], float_of_int pg.Slif_util.Pool.g_pools_created) ];
-        };
-      P.Gauge
-        {
-          name = "slif_pool_pools_live";
-          help = "Domain pools currently alive.";
-          samples = [ ([], float_of_int pg.Slif_util.Pool.g_pools_live) ];
-        };
-      P.Counter
-        {
-          name = "slif_pool_tasks_submitted_total";
-          help = "Tasks handed to pool map calls.";
-          samples = [ ([], float_of_int pg.Slif_util.Pool.g_tasks_submitted) ];
-        };
-      P.Counter
-        {
-          name = "slif_pool_tasks_completed_total";
-          help = "Pool tasks that ran to completion.";
-          samples = [ ([], float_of_int pg.Slif_util.Pool.g_tasks_completed) ];
-        };
-    ]
-  in
-  (* Lock families only appear once a profiled lock recorded something:
-     with Lockprof disabled (the default) the histograms stay empty. *)
-  let lock_stats =
-    List.filter (fun (s : Obs.Lockprof.stat) -> s.acquisitions > 0) (Obs.Lockprof.all ())
-  in
-  let lock_label (s : Obs.Lockprof.stat) = [ ("lock", s.s_name) ] in
-  let lock_families =
-    if lock_stats = [] then []
-    else
-      [
-        P.Counter
-          {
-            name = "slif_lock_acquisitions_total";
-            help = "Profiled-lock acquisitions, by lock.";
-            samples =
-              List.map
-                (fun (s : Obs.Lockprof.stat) ->
-                  (lock_label s, float_of_int s.acquisitions))
-                lock_stats;
-          };
-        P.Counter
-          {
-            name = "slif_lock_contended_total";
-            help = "Acquisitions that had to wait, by lock.";
-            samples =
-              List.map
-                (fun (s : Obs.Lockprof.stat) -> (lock_label s, float_of_int s.contended))
-                lock_stats;
-          };
-        P.Summary
-          {
-            name = "slif_lock_wait_microseconds";
-            help = "Time spent waiting to acquire each profiled lock.";
-            series =
-              List.map
-                (fun (s : Obs.Lockprof.stat) ->
-                  (lock_label s, s.wait_quantiles, s.wait_us.sum))
-                lock_stats;
-          };
-        P.Summary
-          {
-            name = "slif_lock_hold_microseconds";
-            help = "Time each profiled lock was held.";
-            series =
-              List.map
-                (fun (s : Obs.Lockprof.stat) ->
-                  (lock_label s, s.hold_quantiles, s.hold_us.sum))
-                lock_stats;
-          };
-      ]
-  in
-  let select_families =
-    [
-      P.Counter
-        {
-          name = "slif_server_select_idle_seconds_total";
-          help = "Time the acceptor spent parked in select with nothing to do.";
-          samples = [ ([], st.select_idle_us /. 1e6) ];
-        };
-      P.Counter
-        {
-          name = "slif_server_loop_iterations_total";
-          help = "Acceptor-loop wake-ups.";
-          samples = [ ([], float_of_int st.loop_iters) ];
-        };
-    ]
-  in
-  let worker_families =
-    [
-      P.Gauge
-        {
-          name = "slif_server_workers";
-          help = "Worker domains executing requests.";
-          samples = [ ([], float_of_int st.cfg.workers) ];
-        };
-      P.Gauge
-        {
-          name = "slif_server_queue_depth";
-          help = "Jobs waiting in the dispatch queue.";
-          samples = [ ([], float_of_int (queue_depth st)) ];
-        };
-      P.Gauge
-        {
-          name = "slif_server_jobs_inflight";
-          help = "Dispatched request lines whose completion has not drained.";
-          samples = [ ([], float_of_int st.jobs_inflight) ];
-        };
-      P.Counter
-        {
-          name = "slif_server_outq_overflows_total";
-          help = "Connections dropped for reading too slowly.";
-          samples = [ ([], float_of_int st.outq_overflows) ];
-        };
-      P.Counter
-        {
-          name = "slif_server_dropped_responses_total";
-          help = "Responses discarded because their connection was gone.";
-          samples = [ ([], float_of_int st.dropped_responses) ];
-        };
-      P.Counter
-        {
-          name = "slif_server_rejected_connections_total";
-          help = "Connections refused over the connection limit.";
-          samples = [ ([], float_of_int st.rejected_conns) ];
-        };
-    ]
-    @
-    if Obs.Histogram.count st.queue_wait = 0 then []
-    else
-      [
-        P.Summary
-          {
-            name = "slif_server_queue_wait_microseconds";
-            help = "Time jobs sat in the dispatch queue before a worker took them.";
-            series =
-              [ ([], Obs.Histogram.quantile_summary st.queue_wait,
-                 Obs.Histogram.sum st.queue_wait) ];
-          };
-      ]
-  in
-  let flight_rings = Obs.Flight.ring_stats () in
-  let flight_ring_samples pick =
-    List.map
-      (fun (r : Obs.Flight.ring_stat) -> (dom_label r.rs_dom, float_of_int (pick r)))
-      flight_rings
-  in
-  let flight_families =
-    [
-      P.Counter
-        {
-          name = "slif_flight_records_total";
-          help = "Flight-recorder records written, by domain.";
-          samples = flight_ring_samples (fun r -> r.rs_records);
-        };
-      P.Counter
-        {
-          name = "slif_flight_dropped_total";
-          help = "Flight records overwritten by their ring wrapping, by domain.";
-          samples = flight_ring_samples (fun r -> r.rs_dropped);
-        };
-      P.Gauge
-        {
-          name = "slif_flight_ring_occupancy";
-          help = "Live records in each domain's flight ring.";
-          samples = flight_ring_samples (fun r -> r.rs_occupancy);
-        };
-      P.Counter
-        {
-          name = "slif_flight_retained_traces_total";
-          help = "Slow/error traces tail-retained since startup.";
-          samples = [ ([], float_of_int st.retained_total) ];
-        };
-      P.Counter
-        {
-          name = "slif_flight_dump_bytes_total";
-          help = "Bytes of flight-window dumps written (dump op and SIGQUIT).";
-          samples = [ ([], float_of_int st.dump_bytes) ];
-        };
-    ]
-  in
-  let shard_label i = [ ("shard", string_of_int i) ] in
-  let shard_stats = Lru.Sharded.shard_stats st.lru in
-  let shard_samples pick =
-    List.map
-      (fun (s : Lru.Sharded.shard_stat) -> (shard_label s.sh_index, float_of_int (pick s)))
-      shard_stats
-  in
-  let lru_shard_families =
-    [
-      P.Gauge
-        {
-          name = "slif_server_lru_shard_entries";
-          help = "Resident graphs, by LRU shard.";
-          samples = shard_samples (fun s -> s.sh_size);
-        };
-      P.Counter
-        {
-          name = "slif_server_lru_shard_hits_total";
-          help = "Cache hits, by LRU shard.";
-          samples = shard_samples (fun s -> s.sh_hits);
-        };
-      P.Counter
-        {
-          name = "slif_server_lru_shard_misses_total";
-          help = "Cache misses, by LRU shard.";
-          samples = shard_samples (fun s -> s.sh_misses);
-        };
-    ]
-  in
-  (* Every labeled family (per-worker requests, batch items by op, and
-     whatever future subsystems register) exports generically. *)
-  let labeled_families =
-    List.filter_map
-      (fun f ->
-        match Obs.Family.snapshot f with
-        | [] -> None
-        | series ->
-            Some
-              (P.Counter
-                 {
-                   name = "slif_" ^ P.sanitize_name (Obs.Family.name f) ^ "_total";
-                   help =
-                     Printf.sprintf "Family %s, by %s." (Obs.Family.name f)
-                       (Obs.Family.label f);
-                   samples =
-                     List.map
-                       (fun (v, n) -> ([ (Obs.Family.label f, v) ], float_of_int n))
-                       series;
-                 }))
-      (Obs.Family.all ())
-  in
-  let registry_counters =
-    List.map
-      (fun (name, v) ->
-        P.Counter
-          {
-            name = "slif_" ^ P.sanitize_name name ^ "_total";
-            help = Printf.sprintf "Registry counter %s." name;
-            samples = [ ([], float_of_int v) ];
-          })
-      (Obs.Counter.snapshot ())
-  in
-  let registry_hists =
-    List.map
-      (fun (name, (s : Obs.Histogram.summary), q) ->
-        P.Summary
-          {
-            name = "slif_" ^ P.sanitize_name name;
-            help = Printf.sprintf "Registry histogram %s." name;
-            series = [ ([], q, s.sum) ];
-          })
-      (Obs.Histogram.snapshot_full ())
-  in
-  P.to_string
-    ([
-       P.Gauge
-         {
-           name = "slif_server_uptime_seconds";
-           help = "Seconds since the daemon started.";
-           samples = [ ([], uptime_s st) ];
-         };
-       P.Gauge
-         {
-           name = "slif_server_inflight_connections";
-           help = "Open client connections.";
-           samples = [ ([], float_of_int st.inflight) ];
-         };
-       P.Counter
-         {
-           name = "slif_server_requests_total";
-           help = "Requests served, by op.";
-           samples = per_op_counts;
-         };
-       P.Counter
-         {
-           name = "slif_server_errors_total";
-           help = "Requests answered with an error.";
-           samples = [ ([], float_of_int st.errors) ];
-         };
-       P.Gauge
-         {
-           name = "slif_server_lru_entries";
-           help = "Annotated graphs resident in the LRU.";
-           samples = [ ([], float_of_int (Lru.Sharded.size st.lru)) ];
-         };
-       P.Gauge
-         {
-           name = "slif_server_lru_capacity";
-           help = "LRU capacity.";
-           samples = [ ([], float_of_int (Lru.Sharded.capacity st.lru)) ];
-         };
-       P.Summary
-         {
-           name = "slif_server_request_duration_microseconds";
-           help = "Lifetime per-op request latency (log-bucket quantiles).";
-           series = lifetime_series;
-         };
-       P.Summary
-         {
-           name = "slif_server_recent_request_duration_microseconds";
-           help =
-             Printf.sprintf
-               "Exact quantiles over the most recent requests per op (window %d)."
-               Obs.Histogram.default_window_capacity;
-           series = recent_series;
-         };
-     ]
-    @ worker_families @ flight_families @ lru_shard_families @ select_families
-    @ gc_families @ pool_families @ lock_families @ labeled_families
-    @ registry_counters @ registry_hists)
-
-(* The SIGUSR1 runtime dump: everything [stats] and the quantile block
-   know, to stderr (or wherever [oc] points), without stopping the
-   acceptor loop. *)
-let dump_telemetry st oc =
-  Printf.fprintf oc
-    "--- slif serve telemetry ---\n\
-     uptime_s: %.1f\n\
-     requests: %d\n\
-     errors:   %d\n\
-     inflight: %d\n\
-     workers:  %d (queue %d, jobs inflight %d)\n\
-     lru:      %d/%d (hits %d, misses %d)\n"
-    (uptime_s st) st.served st.errors st.inflight st.cfg.workers (queue_depth st)
-    st.jobs_inflight (Lru.Sharded.size st.lru)
-    (Lru.Sharded.capacity st.lru)
-    (Lru.Sharded.hits st.lru) (Lru.Sharded.misses st.lru);
-  (match st.last_error with
-  | Some msg -> Printf.fprintf oc "last_error: %s\n" msg
-  | None -> ());
-  Printf.fprintf oc
-    "flight:   %d records (%d dropped), %d traces retained (%d live), %d dump bytes\n"
-    (Obs.Flight.records_total ())
-    (Obs.Flight.dropped_total ())
-    st.retained_total (Queue.length st.retained) st.dump_bytes;
-  List.iter
-    (fun (r : Obs.Flight.ring_stat) ->
-      Printf.fprintf oc "  ring dom %d: %d/%d occupied, %d written, %d dropped\n" r.rs_dom
-        r.rs_occupancy r.rs_capacity r.rs_records r.rs_dropped)
-    (Obs.Flight.ring_stats ());
-  Printf.fprintf oc "per-op latency, microseconds (lifetime p50/p90/p99/max | recent):\n";
-  List.iter
-    (fun (op, l) ->
-      if Obs.Histogram.count l.lt > 0 then begin
-        let q = Obs.Histogram.quantile_summary l.lt in
-        let r =
-          match Obs.Histogram.window_quantiles l.win with
-          | Some r -> Printf.sprintf "%.0f/%.0f/%.0f/%.0f" r.q_p50 r.q_p90 r.q_p99 r.q_max
-          | None -> "-"
-        in
-        Printf.fprintf oc "  %-10s %6d reqs  %.0f/%.0f/%.0f/%.0f | %s\n" op q.q_count
-          q.q_p50 q.q_p90 q.q_p99 q.q_max r
-      end)
-    (sorted_ops st);
-  Printf.fprintf oc "--- end telemetry ---\n";
-  flush oc
+  {
+    uptime_s = (Obs.Clock.now_us () -. st.started_us) /. 1e6;
+    served = st.served;
+    errors = st.errors;
+    inflight = st.inflight;
+    last_error = st.last_error;
+    ops;
+    workers = st.cfg.workers;
+    queue_depth = queue_depth st;
+    jobs_inflight = st.jobs_inflight;
+    per_worker = Array.to_list st.worker_served;
+    outq_overflows = st.outq_overflows;
+    dropped_responses = st.dropped_responses;
+    rejected_connections = st.rejected_conns;
+    select_idle_us = st.select_idle_us;
+    loop_iterations = st.loop_iters;
+    queue_wait = quantiles_and_sum st.queue_wait;
+    lru_keys = Lru.Sharded.keys st.lru;
+    lru_shards = Lru.Sharded.shard_stats st.lru;
+    gc = Obs.Gcprof.counts ();
+    gc_heap_words = Obs.Gcprof.heap_words ();
+    gc_per_domain = Obs.Gcprof.per_domain ();
+    pool = Slif_util.Pool.global_stats ();
+    rings = Obs.Flight.ring_stats ();
+    retained = st.retained_total;
+    retained_live = Queue.length st.retained;
+    dump_bytes = st.dump_bytes;
+    locks =
+      List.filter (fun (s : Obs.Lockprof.stat) -> s.acquisitions > 0) (Obs.Lockprof.all ());
+    families =
+      List.filter_map
+        (fun f ->
+          match Obs.Family.snapshot f with
+          | [] -> None
+          | series -> Some (Obs.Family.name f, Obs.Family.label f, series))
+        (Obs.Family.all ());
+    counters = Obs.Counter.snapshot ();
+    histograms = Obs.Histogram.snapshot_full ();
+  }
 
 (* --- Request execution (worker side) --------------------------------------- *)
 
@@ -1136,7 +634,8 @@ let span_json t0 (r : Obs.Flight.record) =
         J.String
           (match r.Obs.Flight.fr_kind with
           | Obs.Flight.Span -> "span"
-          | Obs.Flight.Event -> "event") );
+          | Obs.Flight.Event -> "event"
+          | Obs.Flight.Counter -> "counter") );
       ("dom", J.Int r.Obs.Flight.fr_dom);
       ("id", J.Int r.Obs.Flight.fr_id);
       ("parent", J.Int r.Obs.Flight.fr_parent);
@@ -1309,6 +808,14 @@ let worker_loop sh env w =
 
 (* --- Control ops (acceptor side) ------------------------------------------- *)
 
+(* The whole flight window as Chrome trace_event text, counted in the
+   dump-bytes ledger — the [dump] op, SIGQUIT and crash dumps. *)
+let flight_chrome st =
+  let text = Obs.Json.to_string (Obs.Flight.to_chrome ()) in
+  st.dump_bytes <- st.dump_bytes + String.length text;
+  Obs.Counter.add "server.flight.dump_bytes" (String.length text);
+  text
+
 (* Stats, health, metrics and shutdown read (or flip) acceptor-owned
    accounting, so the acceptor renders them itself when the completion
    drains — single-threaded, no locks, and still at the request's wire
@@ -1321,76 +828,20 @@ let render_control st ~tid ~root req =
   let resp =
     Obs.Span.with_ ("server.request." ^ op) @@ fun () ->
     match req with
-    | Protocol.Stats ->
-        let per_op =
-          Hashtbl.fold (fun op c acc -> (op, J.Int !c) :: acc) st.per_op []
-          |> List.sort compare
-        in
-        Protocol.ok
-          [
-            ("uptime_s", J.Float (uptime_s st));
-            ("requests", J.Int st.served);
-            ("errors", J.Int st.errors);
-            ("by_op", J.Obj per_op);
-            ( "lru",
-              J.Obj
-                [
-                  ("size", J.Int (Lru.Sharded.size st.lru));
-                  ("capacity", J.Int (Lru.Sharded.capacity st.lru));
-                  ("hits", J.Int (Lru.Sharded.hits st.lru));
-                  ("misses", J.Int (Lru.Sharded.misses st.lru));
-                  ( "keys",
-                    J.List (List.map (fun k -> J.String k) (Lru.Sharded.keys st.lru)) );
-                  ("shards", lru_shards_json st);
-                ] );
-            ("server", server_json st);
-            ("latency_us", latency_json st);
-            ("gc", gc_json ());
-            ("pool", pool_json ());
-            ("flight", flight_json st);
-          ]
-    | Protocol.Health ->
-        Protocol.ok
-          [
-            ("uptime_s", J.Float (uptime_s st));
-            ("inflight", J.Int st.inflight);
-            ("requests", J.Int st.served);
-            ("errors", J.Int st.errors);
-            ("workers", J.Int st.cfg.workers);
-            ("queue_depth", J.Int (queue_depth st));
-            ( "lru",
-              J.Obj
-                [
-                  ("size", J.Int (Lru.Sharded.size st.lru));
-                  ("capacity", J.Int (Lru.Sharded.capacity st.lru));
-                ] );
-            ( "gc",
-              (Obs.Gcprof.sample ();
-               let c = Obs.Gcprof.counts () in
-               J.Obj
-                 [
-                   ("minor_collections", J.Int c.minor_collections);
-                   ("major_collections", J.Int c.major_collections);
-                   ("promoted_words", J.Float c.promoted_words);
-                   ("heap_words", J.Int (Obs.Gcprof.heap_words ()));
-                 ]) );
-            ("pool", pool_json ());
-            ( "last_error",
-              match st.last_error with Some msg -> J.String msg | None -> J.Null );
-          ]
-    | Protocol.Metrics -> Protocol.ok [ ("output", J.String (prometheus_text st)) ]
+    | Protocol.Stats -> Protocol.ok (Telemetry.stats (telemetry st))
+    | Protocol.Health -> Protocol.ok (Telemetry.health (telemetry st))
+    | Protocol.Metrics ->
+        Protocol.ok [ ("output", J.String (Telemetry.metrics (telemetry st))) ]
     | Protocol.Dump ->
-        (* The whole flight window as a Chrome trace_event string —
-           what [slif trace --export] saves. *)
-        let chrome = J.to_string (Obs.Flight.to_chrome ()) in
-        st.dump_bytes <- st.dump_bytes + String.length chrome;
-        Obs.Counter.add "server.flight.dump_bytes" (String.length chrome);
+        (* What [slif trace --export] saves. *)
+        let chrome = flight_chrome st in
+        let t = telemetry st in
         Protocol.ok
           [
             ("output", J.String chrome);
-            ("records", J.Int (Obs.Flight.records_total ()));
-            ("dropped", J.Int (Obs.Flight.dropped_total ()));
-            ("flight", flight_json st);
+            ("records", J.Int (Telemetry.flight_records t));
+            ("dropped", J.Int (Telemetry.flight_dropped t));
+            ("flight", Telemetry.flight t);
           ]
     | Protocol.Traces None ->
         let summaries =
@@ -1659,11 +1110,10 @@ let write_flight_dump st ~reason =
     let path =
       Filename.concat dir (Printf.sprintf "slif-flight-%d.json" (Unix.getpid ()))
     in
-    let chrome = Obs.Flight.to_chrome () in
-    let text = Obs.Json.to_string chrome in
-    st.dump_bytes <- st.dump_bytes + String.length text;
-    Obs.Counter.add "server.flight.dump_bytes" (String.length text);
-    Obs.Json.write_file path chrome;
+    let text = flight_chrome st in
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc text;
+        output_char oc '\n');
     Printf.eprintf "slif serve: flight dump (%s) -> %s (%d bytes)\n%!" reason path
       (String.length text)
   with _ -> ()
@@ -1719,7 +1169,6 @@ let run ?on_ready cfg =
       worker_served = Array.make workers 0;
       queue_wait = Obs.Histogram.create ();
       last_error = None;
-      per_op = Hashtbl.create 8;
       lat = Hashtbl.create 8;
       select_idle_us = 0.0;
       loop_iters = 0;
@@ -1729,7 +1178,6 @@ let run ?on_ready cfg =
       stop = false;
     }
   in
-  List.iter (fun op -> ignore (lat_for st op)) known_ops;
   let env =
     {
       x_cfg = cfg;
@@ -1769,7 +1217,8 @@ let run ?on_ready cfg =
      while (not st.stop) || pending_work () do
     if Atomic.get dump_requested then begin
       Atomic.set dump_requested false;
-      dump_telemetry st stderr
+      prerr_string (Telemetry.dump (telemetry st));
+      flush stderr
     end;
     if Atomic.get flight_dump_requested then begin
       Atomic.set flight_dump_requested false;

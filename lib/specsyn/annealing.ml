@@ -52,10 +52,7 @@ let run_chain ?replica ~params ~initial ~rng (problem : Search.problem) =
 let run ?pool ?(restarts = 1) ?(params = default_params) ?initial ?chunk ?replica
     (problem : Search.problem) =
   if restarts <= 0 then invalid_arg "Annealing.run: restarts must be positive";
-  Slif_obs.Span.with_ "search.annealing"
-    ~args:
-      [ ("steps", string_of_int params.steps); ("restarts", string_of_int restarts) ]
-  @@ fun () ->
+  Slif_obs.Span.with_ "search.annealing" @@ fun () ->
   if restarts = 1 then
     (* The single-chain path keeps the historical stream: the chain draws
        from [Prng.create params.seed] directly. *)

@@ -95,8 +95,7 @@ let clusters ?(params = default_params) graph ~k =
   |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
 
 let run ?(params = default_params) ?replica ~k (problem : Search.problem) =
-  Slif_obs.Span.with_ "search.clustering" ~args:[ ("k", string_of_int k) ]
-  @@ fun () ->
+  Slif_obs.Span.with_ "search.clustering" @@ fun () ->
   let graph = problem.Search.graph in
   let s = Slif.Graph.slif graph in
   let groups = clusters ~params graph ~k in

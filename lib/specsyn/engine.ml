@@ -24,7 +24,6 @@ type t = {
   mutable part : Slif.Partition.t;  (* mutable so [acquire] can re-point a replica *)
   est : Slif.Estimate.t;
   weights : Cost.weights;
-  constraints : Cost.constraints;  (* kept so [copy] can rebuild deadlines *)
   deadlines : (int * float) array;  (* resolved (node id, deadline us) *)
   n_procs : int;
   n_comps : int;
@@ -448,7 +447,6 @@ let create ?(weights = Cost.default_weights) ?(constraints = Cost.no_constraints
       part;
       est;
       weights;
-      constraints;
       deadlines;
       n_procs;
       n_comps;
@@ -503,32 +501,9 @@ let acquire t part =
   else begin
     let t0 = Slif_obs.Clock.now_us () in
     rebind ();
-    (* Like [copy]: the re-acquisition cost is engine-setup work inside
-       the task body, carved out of gross task-run by the report. *)
+    (* The re-acquisition cost is engine-setup work inside the task
+       body, carved out of gross task-run by the report. *)
     Slif_obs.Attribution.add Slif_obs.Attribution.Copy (Slif_obs.Clock.now_us () -. t0)
-  end
-
-(* A copy clones the partition and rebuilds the aggregates from it.
-   Rebuilding (rather than cloning every array and the estimator's memo
-   tables) costs one full initial scoring, but yields an engine with no
-   cell shared with the original — the isolation a per-task clone in a
-   parallel sweep needs. *)
-let copy t =
-  if t.txn <> None then invalid_arg "Engine.copy: a transaction is pending";
-  let clone () =
-    Slif_obs.Span.with_ "engine.copy" @@ fun () ->
-    Slif_obs.Counter.incr "engine.copies";
-    create ~weights:t.weights ~constraints:t.constraints t.graph
-      (Slif.Partition.copy t.part)
-  in
-  if not (Slif_obs.Attribution.on ()) then clone ()
-  else begin
-    let t0 = Slif_obs.Clock.now_us () in
-    let r = clone () in
-    (* The clone cost is part of the task body that requested it; the
-       attribution report carves it out of gross task-run. *)
-    Slif_obs.Attribution.add Slif_obs.Attribution.Copy (Slif_obs.Clock.now_us () -. t0);
-    r
   end
 
 (* --- Move generation ------------------------------------------------------ *)

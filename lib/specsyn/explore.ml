@@ -43,9 +43,7 @@ type work = {
 
 let run ?(jobs = 1) ?(chunk = 0) ?constraints ?weights ?(algos = default_algos)
     ?(allocs = Alloc.catalog) slif =
-  Slif_obs.Span.with_ "explore.run"
-    ~args:[ ("jobs", string_of_int jobs); ("chunk", string_of_int chunk) ]
-  @@ fun () ->
+  Slif_obs.Span.with_ "explore.run" @@ fun () ->
   (* Every (alloc x algo) combination is independent: it gets its own
      graph, problem and engine state, and the algorithms seed their own
      generators — no mutable state crosses work-unit boundaries, so the
@@ -86,9 +84,9 @@ let run ?(jobs = 1) ?(chunk = 0) ?constraints ?weights ?(algos = default_algos)
         (* The per-domain context cache, keyed by allocation index.  A
            domain builds an allocation's graph, problem and engine
            replica the first time it meets it and reuses them for every
-           later work item of that allocation — replacing today's
-           rebuild-per-task (and the Engine.copy-per-task design before
-           it) with one [Engine.acquire] per candidate. *)
+           later work item of that allocation, with one
+           [Engine.acquire] per candidate instead of a rebuild per
+           task. *)
         let ctxs = Slif_util.Pool.local pool (fun () -> Hashtbl.create 8) in
         let ctx_for ai =
           let tbl = Slif_util.Pool.get ctxs in
@@ -118,14 +116,7 @@ let run ?(jobs = 1) ?(chunk = 0) ?constraints ?weights ?(algos = default_algos)
             | Annealing params, _ -> Annealing.run ~replica ~params problem
             | Clustering k, _ -> Cluster.run ~replica:ctx.c_eng ~k problem
           in
-          let solve () =
-            Slif_obs.Span.with_ "explore.entry"
-              ~args:
-                [
-                  ("alloc", alloc_arr.(ai).Alloc.alloc_name); ("algo", algo_name algo);
-                ]
-              solve
-          in
+          let solve () = Slif_obs.Span.with_ "explore.entry" solve in
           Slif_obs.Clock.time solve
         in
         Slif_util.Pool.map pool solve_work works)

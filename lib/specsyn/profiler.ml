@@ -44,6 +44,7 @@ let digest_entries entries =
 
 let arm () =
   Obs.Registry.reset ();
+  Obs.Flight.reset ();
   Obs.Attribution.reset ();
   Obs.Lockprof.reset ();
   Obs.Gcprof.reset ();
@@ -112,8 +113,10 @@ let run ?constraints ?weights ?algos ?allocs ?chunk ?trace ~name ~jobs slif =
       }
     in
     (* The trace must be exported before the next run resets the
-       registry. *)
-    (match trace with Some path_of -> Obs.Trace.write_file (path_of j) | None -> ());
+       flight window. *)
+    (match trace with
+    | Some path_of -> Obs.Json.write_file (path_of j) (Obs.Flight.to_chrome ())
+    | None -> ());
     r
   in
   let runs = List.map one jobs in

@@ -65,9 +65,9 @@ val run :
     empty or containing a count below 1).  [chunk] is forwarded to
     {!Explore.run}'s restart slicing (default: the
     {!Slif_util.Pool.default_chunk} heuristic).  [trace] maps a domain
-    count to a file path: when given, each run's Chrome trace — spans
-    plus the pool's counter tracks — is written there before the
-    registry is reset for the next run. *)
+    count to a file path: when given, each run's Chrome trace — the
+    flight window's spans plus the pool's counter tracks — is written
+    there before the window is reset for the next run. *)
 
 val to_json : t -> Slif_obs.Json.t
 (** The machine-readable scaling report, schema ["slif-profile/1"]. *)

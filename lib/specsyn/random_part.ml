@@ -68,9 +68,7 @@ let run_range ?replica ?(seed = 1) ~start ~len (problem : Search.problem) =
 
 let run ?pool ?(seed = 1) ?chunk ?replica ~restarts (problem : Search.problem) =
   if restarts <= 0 then invalid_arg "Random_part.run: restarts must be positive";
-  Slif_obs.Span.with_ "search.random"
-    ~args:[ ("restarts", string_of_int restarts) ]
-  @@ fun () ->
+  Slif_obs.Span.with_ "search.random" @@ fun () ->
   let jobs = match pool with Some p -> Slif_util.Pool.jobs p | None -> 1 in
   let chunk =
     match chunk with Some c -> c | None -> Slif_util.Pool.default_chunk ~jobs restarts

@@ -338,9 +338,8 @@ let mapi pool f tasks =
         if profiled then begin
           (* Counter tracks for the trace export: queue drain and task
              completion over time. *)
-          Slif_obs.Registry.sample "pool.queue_depth"
-            (float_of_int (Queue.length pool.queue));
-          Slif_obs.Registry.sample "pool.tasks_completed" (float_of_int pool.completed)
+          Slif_obs.Flight.record_counter "pool.queue_depth" (Queue.length pool.queue);
+          Slif_obs.Flight.record_counter "pool.tasks_completed" pool.completed
         end;
         if !remaining = 0 then Condition.broadcast settled;
         Slif_obs.Lockprof.unlock pool.lock

@@ -6,6 +6,7 @@ module Obs = Slif_obs
    other suites (which run with the registry off) are unaffected. *)
 let with_fresh f () =
   Obs.Registry.reset ();
+  Obs.Flight.reset ();
   Obs.Registry.enable ();
   Fun.protect
     ~finally:(fun () ->
@@ -18,6 +19,10 @@ let read_file path =
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   s
+
+(* The completed spans in the flight window, oldest first. *)
+let spans () =
+  List.filter (fun (r : Obs.Flight.record) -> r.fr_kind = Obs.Flight.Span) (Obs.Flight.snapshot ())
 
 let parse_ok what text =
   match Obs.Json.parse text with
@@ -35,27 +40,26 @@ let test_span_nesting () =
          42)
    in
    Alcotest.(check int) "with_ returns the body's value" 42 result;
-   let events = Obs.Trace.events () in
+   let events = spans () in
    Alcotest.(check (list string))
      "events sorted by start time" [ "outer"; "inner1"; "inner2" ]
-     (List.map (fun (e : Obs.Trace.event) -> e.name) events);
-   let find name = List.find (fun (e : Obs.Trace.event) -> e.name = name) events in
+     (List.map (fun (r : Obs.Flight.record) -> r.fr_name) events);
+   let find name = List.find (fun (r : Obs.Flight.record) -> r.fr_name = name) events in
    let outer = find "outer" and inner1 = find "inner1" and inner2 = find "inner2" in
-   Alcotest.(check int) "outer at depth 0" 0 outer.depth;
-   Alcotest.(check int) "inner1 nested" 1 inner1.depth;
-   Alcotest.(check int) "inner2 nested" 1 inner2.depth;
+   Alcotest.(check int) "outer is a root" 0 outer.fr_parent;
+   Alcotest.(check int) "inner1 parents under outer" outer.fr_id inner1.fr_parent;
+   Alcotest.(check int) "inner2 parents under outer" outer.fr_id inner2.fr_parent;
    Alcotest.(check bool) "children start after the parent" true
-     (inner1.ts_us >= outer.ts_us && inner2.ts_us >= inner1.ts_us);
+     (inner1.fr_ts_ns >= outer.fr_ts_ns && inner2.fr_ts_ns >= inner1.fr_ts_ns);
    Alcotest.(check bool) "parent spans its children" true
-     (outer.dur_us >= inner1.dur_us +. inner2.dur_us))
+     (outer.fr_dur_ns >= inner1.fr_dur_ns + inner2.fr_dur_ns))
     ()
 
 let test_span_exception () =
   (with_fresh @@ fun () ->
    (try Obs.Span.with_ "failing" (fun () -> failwith "boom") with Failure _ -> ());
-   Alcotest.(check int) "span recorded despite the raise" 1
-     (List.length (Obs.Trace.events ()));
-   Alcotest.(check int) "depth restored" 0 (Obs.Registry.depth ()))
+   Alcotest.(check int) "span recorded despite the raise" 1 (List.length (spans ()));
+   Alcotest.(check int) "open span restored" 0 (Obs.Registry.current_span ()))
     ()
 
 let test_span_histogram () =
@@ -108,16 +112,21 @@ let test_histogram_stats () =
 let test_disabled_noop () =
   Obs.Registry.reset ();
   Obs.Registry.disable ();
+  Obs.Flight.reset ();
+  Obs.Flight.disable ();
+  Fun.protect ~finally:Obs.Flight.enable @@ fun () ->
   let result = Obs.Span.with_ "ghost" (fun () -> Obs.Counter.incr "ghost.count"; 7) in
   Alcotest.(check int) "with_ still runs the body" 7 result;
   Alcotest.(check int) "no counter recorded" 0 (Obs.Counter.get "ghost.count");
-  Alcotest.(check int) "no span recorded" 0 (List.length (Obs.Trace.events ()));
+  Alcotest.(check int) "no span recorded" 0 (List.length (Obs.Flight.snapshot ()));
   Alcotest.(check bool) "no histogram recorded" true
     (Obs.Histogram.summary "span.ghost" = None);
   (match try Obs.Span.with_ "ghost2" (fun () -> raise Exit) with Exit -> () with
   | () -> ());
   Alcotest.(check int) "exceptions pass through untouched" 0
-    (List.length (Obs.Trace.events ()))
+    (List.length (Obs.Flight.snapshot ()));
+  Alcotest.(check bool) "no span histogram for the raising span" true
+    (Obs.Histogram.summary "span.ghost2" = None)
 
 let test_instrumented_paths_silent_when_disabled () =
   Obs.Registry.reset ();
@@ -132,16 +141,15 @@ let test_instrumented_paths_silent_when_disabled () =
 
 let test_trace_export_valid_json () =
   (with_fresh @@ fun () ->
-   Obs.Span.with_ "outer" ~args:[ ("spec", "tiny \"quoted\"\n") ] (fun () ->
-       Obs.Span.with_ "inner" (fun () -> ()));
+   Obs.Registry.with_trace "tiny \"quoted\"\n" (fun () ->
+       Obs.Span.with_ "outer" (fun () -> Obs.Span.with_ "inner" (fun () -> ())));
    let path = Filename.temp_file "slif_obs" ".trace.json" in
-   Obs.Trace.write_file path;
+   Obs.Json.write_file path (Obs.Flight.to_chrome ());
    let json = parse_ok "trace" (read_file path) in
    Sys.remove path;
    match Obs.Json.member "traceEvents" json with
    | Some (Obs.Json.List events) ->
-       (* Metadata event plus the two spans. *)
-       Alcotest.(check int) "event count" 3 (List.length events);
+       Alcotest.(check int) "event count" 2 (List.length events);
        List.iter
          (fun ev ->
            Alcotest.(check bool) "every event has a name and ph" true
@@ -245,9 +253,7 @@ let test_pipeline_counters_fire () =
    let slif = Slif.Annotate.run ~techs:Tech.Parts.all sem (Slif.Build.build sem) in
    Alcotest.(check bool) "build.nodes counted" true (Obs.Counter.get "build.nodes" > 0);
    Alcotest.(check bool) "parse span recorded" true
-     (List.exists
-        (fun (e : Obs.Trace.event) -> e.name = "vhdl.parse")
-        (Obs.Trace.events ()));
+     (List.exists (fun (r : Obs.Flight.record) -> r.fr_name = "vhdl.parse") (spans ()));
    let s = Helpers.proc_asic_components slif in
    let graph = Slif.Graph.make s in
    let part = Specsyn.Search.seed_partition s in
@@ -258,19 +264,6 @@ let test_pipeline_counters_fire () =
      s.Slif.Types.nodes;
    Alcotest.(check bool) "memo misses counted" true
      (Obs.Counter.get "estimate.memo_miss" > 0))
-    ()
-
-let test_event_cap () =
-  (with_fresh @@ fun () ->
-   Obs.Registry.set_max_events 3;
-   Fun.protect
-     ~finally:(fun () -> Obs.Registry.set_max_events 200_000)
-     (fun () ->
-       for _ = 1 to 5 do
-         Obs.Span.with_ "spam" (fun () -> ())
-       done;
-       Alcotest.(check int) "buffer capped" 3 (List.length (Obs.Trace.events ()));
-       Alcotest.(check int) "drops counted" 2 (Obs.Registry.dropped_events ())))
     ()
 
 (* --- Quantiles ------------------------------------------------------------ *)
@@ -447,11 +440,20 @@ let test_span_trace_id_arg () =
   (with_fresh @@ fun () ->
    Obs.Registry.with_trace "req-7" (fun () -> Obs.Span.with_ "work" (fun () -> ()));
    Obs.Span.with_ "untraced" (fun () -> ());
-   let find name = List.find (fun (e : Obs.Trace.event) -> e.name = name) (Obs.Trace.events ()) in
-   Alcotest.(check (option string)) "span carries the ambient trace id" (Some "req-7")
-     (List.assoc_opt "trace_id" (find "work").args);
-   Alcotest.(check (option string)) "no ambient id, no arg" None
-     (List.assoc_opt "trace_id" (find "untraced").args))
+   let events =
+     match Obs.Json.member "traceEvents" (Obs.Flight.to_chrome ()) with
+     | Some (Obs.Json.List events) -> events
+     | _ -> Alcotest.fail "traceEvents missing"
+   in
+   let trace_arg name =
+     let ev =
+       List.find (fun ev -> Obs.Json.member "name" ev = Some (Obs.Json.String name)) events
+     in
+     Option.bind (Obs.Json.member "args" ev) (Obs.Json.member "trace_id")
+   in
+   Alcotest.(check bool) "span carries the ambient trace id" true
+     (trace_arg "work" = Some (Obs.Json.String "req-7"));
+   Alcotest.(check bool) "no ambient id, no arg" true (trace_arg "untraced" = None))
     ()
 
 (* --- Prometheus rendering --------------------------------------------------- *)
@@ -596,7 +598,6 @@ let suite =
     Alcotest.test_case "clock time helpers" `Quick test_clock_time_helpers;
     Alcotest.test_case "pipeline counters fire when enabled" `Quick
       test_pipeline_counters_fire;
-    Alcotest.test_case "span buffer cap" `Quick test_event_cap;
     Alcotest.test_case "quantile estimation accuracy" `Quick test_quantile_estimation;
     Alcotest.test_case "quantiles clamp to the true max" `Quick
       test_quantiles_clamped_to_max;

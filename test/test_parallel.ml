@@ -354,35 +354,6 @@ let test_random_part_differential () =
   check_same_partition "random best" serial.Specsyn.Search.part
     parallel.Specsyn.Search.part
 
-(* --- Engine.copy isolation ----------------------------------------------- *)
-
-let test_engine_copy_isolation () =
-  let problem = Lazy.force fuzzy_problem in
-  let part =
-    Specsyn.Search.seed_partition (Slif.Graph.slif problem.Specsyn.Search.graph)
-  in
-  let original = Specsyn.Engine.of_problem problem part in
-  let c0 = Specsyn.Engine.cost original in
-  let dup = Specsyn.Engine.copy original in
-  Alcotest.(check (float 1e-9)) "copy scores identically" c0 (Specsyn.Engine.cost dup);
-  let rng = Prng.create 99 in
-  for _ = 1 to 25 do
-    match Specsyn.Engine.random_move dup rng with
-    | None -> ()
-    | Some m ->
-        ignore (Specsyn.Engine.propose dup m);
-        Specsyn.Engine.commit dup
-  done;
-  Alcotest.(check (float 1e-9)) "original untouched" c0 (Specsyn.Engine.cost original);
-  match Specsyn.Engine.random_move dup rng with
-  | None -> ()
-  | Some m ->
-      ignore (Specsyn.Engine.propose dup m);
-      (match Specsyn.Engine.copy dup with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "copy during a pending transaction should raise");
-      Specsyn.Engine.rollback dup
-
 (* --- Engine.acquire bit-exactness ----------------------------------------- *)
 
 (* The share-nothing refactor rides entirely on [Engine.acquire]
@@ -462,6 +433,7 @@ let test_memo_isolation_across_domains () =
 
 let test_obs_stress () =
   Obs.Registry.reset ();
+  Obs.Flight.reset ();
   Obs.Registry.enable ();
   Fun.protect
     ~finally:(fun () ->
@@ -489,10 +461,14 @@ let test_obs_stress () =
   | None -> Alcotest.fail "span histogram missing"
   | Some s ->
       Alcotest.(check int) "span count" (domains * spans_per_domain) s.Obs.Histogram.count);
-  let events = Obs.Trace.events () in
+  let events =
+    List.filter
+      (fun (r : Obs.Flight.record) -> r.fr_name = "stress.tick")
+      (Obs.Flight.snapshot ())
+  in
   Alcotest.(check int) "event count" (domains * spans_per_domain) (List.length events);
   let doms =
-    List.sort_uniq compare (List.map (fun (e : Obs.Trace.event) -> e.dom) events)
+    List.sort_uniq compare (List.map (fun (r : Obs.Flight.record) -> r.fr_dom) events)
   in
   Alcotest.(check int) "one lane per domain" domains (List.length doms)
 
@@ -524,7 +500,6 @@ let suite =
       test_annealing_restarts_differential;
     Alcotest.test_case "random restarts pool == serial" `Quick
       test_random_part_differential;
-    Alcotest.test_case "engine copy shares no state" `Quick test_engine_copy_isolation;
     Alcotest.test_case "engine acquire rescoring is bit-exact" `Quick
       test_engine_acquire_bit_exact;
     Alcotest.test_case "replica memos are domain-private" `Quick

@@ -500,6 +500,43 @@ let test_metrics_op () =
       contains "# TYPE slif_server_select_idle_seconds_total counter";
       contains "# TYPE slif_server_loop_iterations_total counter")
 
+(* The recent-latency summary's [_sum] is the window's true sum, so
+   sum/count reads as the recent mean rather than 0. *)
+let test_metrics_recent_sum () =
+  with_server (fun _port client ->
+      ignore
+        (request_exn client [ ("op", Json.String "estimate"); ("spec", Json.String "vol") ]);
+      ignore (request_exn client [ ("op", Json.String "stats") ]);
+      let text = output_exn client [ ("op", Json.String "metrics") ] in
+      let family = "slif_server_recent_request_duration_microseconds" in
+      (* [suffix] sample lines as (op label, value). *)
+      let samples suffix =
+        let prefix = family ^ suffix ^ {|{op="|} in
+        let pl = String.length prefix in
+        List.filter_map
+          (fun line ->
+            if String.length line > pl && String.sub line 0 pl = prefix then
+              match String.index_from_opt line pl '"' with
+              | Some q ->
+                  let op = String.sub line pl (q - pl) in
+                  let v = String.sub line (q + 3) (String.length line - q - 3) in
+                  Some (op, float_of_string v)
+              | None -> None
+            else None)
+          (String.split_on_char '\n' text)
+      in
+      let counts = samples "_count" and sums = samples "_sum" in
+      Alcotest.(check bool) "estimate has a recent window" true
+        (List.assoc_opt "estimate" counts = Some 1.0);
+      List.iter
+        (fun (op, n) ->
+          if n > 0.0 then
+            match List.assoc_opt op sums with
+            | Some sum ->
+                Alcotest.(check bool) (Printf.sprintf "%s recent _sum > 0" op) true (sum > 0.0)
+            | None -> Alcotest.failf "%s has a recent _count but no _sum" op)
+        counts)
+
 (* The stats op carries the same gc/pool blocks the CLI renders in
    [slif stats --watch]. *)
 let test_stats_gc_pool () =
@@ -527,14 +564,11 @@ let test_stats_gc_pool () =
 
 let test_trace_ids_shared () =
   let tmp = Filename.temp_file "slif_events" ".jsonl" in
-  Slif_obs.Registry.reset ();
-  Slif_obs.Registry.enable ();
+  Slif_obs.Flight.reset ();
   Slif_obs.Event.open_log tmp;
   Fun.protect
     ~finally:(fun () ->
       Slif_obs.Event.close_log ();
-      Slif_obs.Registry.disable ();
-      Slif_obs.Registry.reset ();
       Sys.remove tmp)
     (fun () ->
       with_server (fun _port client ->
@@ -566,11 +600,14 @@ let test_trace_ids_shared () =
       Alcotest.(check bool) "request events logged" true (List.length log_traces >= 2);
       let span_traces =
         List.filter_map
-          (fun (e : Slif_obs.Trace.event) ->
-            if String.length e.name >= 15 && String.sub e.name 0 15 = "server.request." then
-              List.assoc_opt "trace_id" e.args
+          (fun (r : Slif_obs.Flight.record) ->
+            if
+              r.fr_kind = Slif_obs.Flight.Span
+              && String.length r.fr_name >= 15
+              && String.sub r.fr_name 0 15 = "server.request."
+            then Some r.fr_trace
             else None)
-          (Slif_obs.Trace.events ())
+          (Slif_obs.Flight.snapshot ())
       in
       Alcotest.(check bool) "request spans carry trace ids" true
         (List.length span_traces >= 2);
@@ -979,6 +1016,8 @@ let suite =
     Alcotest.test_case "lru capacity one" `Quick test_lru_capacity_one;
     Alcotest.test_case "health op" `Slow test_health_op;
     Alcotest.test_case "metrics op (Prometheus exposition)" `Slow test_metrics_op;
+    Alcotest.test_case "metrics recent-latency sum is the window's" `Slow
+      test_metrics_recent_sum;
     Alcotest.test_case "stats op carries gc and pool blocks" `Slow test_stats_gc_pool;
     Alcotest.test_case "trace ids shared by spans and event log" `Slow
       test_trace_ids_shared;
