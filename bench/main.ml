@@ -916,6 +916,21 @@ let a9 () =
         \ build by a growing margin as specs get larger; the LRU row adds only a\n\
         \ socket round-trip on top of a hash lookup)")
 
+(* The flight ring's per-record write cost for A10's flight gate: a
+   tight loop of ring writes, best of 3 batches.  Main measures it
+   before any phase, on a default-size ring, and then clears the rings,
+   so the loop's throwaway records never reach a SLIF_BENCH_TRACE
+   export. *)
+let flight_record_ns () =
+  let cal_reps = if bench_fast then 20_000 else 200_000 in
+  let cal_id = Slif_obs.Flight.next_id () in
+  1e9
+  *. List.fold_left min infinity
+       (List.init 3 (fun _ ->
+            Slif_obs.Clock.time_n cal_reps (fun () ->
+                Slif_obs.Flight.record_span ~id:cal_id ~parent:0
+                  ~name:"bench.a10.flight_cal" ~t0_ns:0 ~dur_ns:0 ())))
+
 (* --- A10: daemon latency quantiles + telemetry overhead ----------------------- *)
 
 (* Two claims measured: (1) per-op daemon latency quantiles under 1/2/4
@@ -923,8 +938,11 @@ let a9 () =
    here from the client side so queueing in the single select loop is
    visible; (2) the telemetry plumbing costs nothing when it is off —
    the estimate hot path with the registry disabled, bare vs under a
-   request trace context, must agree within ~2%. *)
-let a10 () =
+   request trace context, must agree within ~2%.
+
+   [record_ns] is the flight ring's per-record write cost, measured by
+   [flight_record_ns] before any phase runs. *)
+let a10 ~record_ns () =
   section "A10: daemon latency quantiles and disabled-telemetry overhead";
   (* Captured by the client sweep, consumed by the flight-recorder gate
      below: what one daemon request writes into the ring, and what it
@@ -1066,16 +1084,6 @@ let a10 () =
   let t_flight = best_of_3 run_span in
   Slif_obs.Registry.enable ();
   let overhead_flight = pct t_flight t_all_off in
-  let cal_reps = if bench_fast then 20_000 else 200_000 in
-  let cal_id = Slif_obs.Flight.next_id () in
-  let record_ns =
-    1e9
-    *. List.fold_left min infinity
-         (List.init 3 (fun _ ->
-              Slif_obs.Clock.time_n cal_reps (fun () ->
-                  Slif_obs.Flight.record_span ~id:cal_id ~parent:0
-                    ~name:"bench.a10.flight_cal" ~t0_ns:0 ~dur_ns:0 ())))
-  in
   Printf.printf
     "flight-recorder ablation (registry off in both runs):\n\
     \  flight off: %.1f us\n\
@@ -1687,6 +1695,14 @@ let () =
   print_endline "SLIF reproduction benchmark harness";
   print_endline "(see DESIGN.md section 3 for the experiment index)";
   Slif_obs.Registry.enable ();
+  let record_ns = flight_record_ns () in
+  (* Clear the calibration's records.  A traced run also gets rings that
+     hold the whole run: a full run writes up to about 34k records on one
+     domain (the main one, or A12's busiest synth worker), past the
+     default 4096-slot window. *)
+  if Sys.getenv_opt "SLIF_BENCH_TRACE" <> None then
+    Slif_obs.Flight.set_capacity Slif_obs.Flight.trace_capacity
+  else Slif_obs.Flight.reset ();
   (* SLIF_BENCH_ONLY=a8,r4 restricts the run to the named phases (the CI
      bench smoke step runs SLIF_BENCH_ONLY=a8 SLIF_BENCH_FAST=1). *)
   let only =
@@ -1712,7 +1728,7 @@ let () =
   phase "a7" a7;
   phase "a8" a8;
   phase "a9" a9;
-  phase "a10" a10;
+  phase "a10" (a10 ~record_ns);
   phase "a10load" a10_load;
   phase "a11" a11;
   phase "a12" a12;

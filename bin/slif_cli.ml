@@ -115,6 +115,8 @@ let with_obs opts f =
   let f () = guarded f in
   let active = opts.trace <> None || opts.metrics <> None || opts.verbose in
   if active then Slif_obs.Registry.enable ();
+  (* The export is the flight window, so size the rings to hold the run. *)
+  if opts.trace <> None then Slif_obs.Flight.set_capacity Slif_obs.Flight.trace_capacity;
   let export () =
     if active then begin
       Slif_obs.Registry.disable ();

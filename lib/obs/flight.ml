@@ -32,6 +32,7 @@ type record = {
 }
 
 let default_capacity = 4096
+let trace_capacity = 65536
 let capacity = Atomic.make default_capacity
 
 (* On by default — the whole point is that the window exists before

@@ -47,6 +47,13 @@ val disable : unit -> unit
 val default_capacity : int
 (** Per-domain ring slots (4096). *)
 
+val trace_capacity : int
+(** Per-domain ring slots (65536) for a run whose whole window is
+    exported: the CLI's [--trace] and the bench's [SLIF_BENCH_TRACE]
+    resize to it before the run.  The largest measured run, a full
+    bench whose A12 phase synthesizes a 10^6-node graph, writes about
+    34k records on its busiest domain. *)
+
 val set_capacity : int -> unit
 (** Resize every ring (clearing them) and set the capacity future
     domains allocate with.  Call at startup or a quiescent point. *)

@@ -190,6 +190,16 @@ let test_chrome_export () =
   with_fresh @@ fun () ->
   Obs.Registry.with_trace "flight-chrome" (fun () ->
       Obs.Span.with_ "flight.chrome.span" (fun () -> Obs.Event.emit "flight.chrome.ev"));
+  Flight.record_counter "flight.chrome.counter" 5;
+  (match
+     List.filter
+       (fun (r : Flight.record) -> r.Flight.fr_name = "flight.chrome.counter")
+       (Flight.snapshot ())
+   with
+  | [ r ] ->
+      Alcotest.(check bool) "counter record kind" true (r.Flight.fr_kind = Flight.Counter);
+      Alcotest.(check int) "counter value" 5 r.Flight.fr_dur_ns
+  | rs -> Alcotest.failf "expected one counter record, got %d" (List.length rs));
   let json = Flight.to_chrome () in
   (* Round-trips through the parser. *)
   let reparsed =
@@ -212,6 +222,16 @@ let test_chrome_export () =
   let ev = List.find (fun e -> name_of e = "flight.chrome.ev") events in
   Alcotest.(check string) "span is a complete event" "X" (phase_of span);
   Alcotest.(check string) "event is an instant" "i" (phase_of ev);
+  (match List.filter (fun e -> name_of e = "flight.chrome.counter") events with
+  | [ counter ] ->
+      Alcotest.(check string) "counter sample is a C event" "C" (phase_of counter);
+      let value =
+        match Obs.Json.member "args" counter with
+        | Some args -> Obs.Json.member "value" args
+        | None -> None
+      in
+      Alcotest.(check bool) "counter carries args.value 5" true (value = Some (Obs.Json.Int 5))
+  | cs -> Alcotest.failf "expected one counter event, got %d" (List.length cs));
   (match Obs.Json.member "ts" (List.hd events) with
   | Some (Obs.Json.Float ts) ->
       Alcotest.(check bool) "timestamps rebased to the window" true (ts >= 0.0)

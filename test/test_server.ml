@@ -498,20 +498,11 @@ let test_metrics_op () =
       contains "# TYPE slif_pool_tasks_submitted_total counter";
       contains "# TYPE slif_pool_tasks_completed_total counter";
       contains "# TYPE slif_server_select_idle_seconds_total counter";
-      contains "# TYPE slif_server_loop_iterations_total counter")
-
-(* The recent-latency summary's [_sum] is the window's true sum, so
-   sum/count reads as the recent mean rather than 0. *)
-let test_metrics_recent_sum () =
-  with_server (fun _port client ->
-      ignore
-        (request_exn client [ ("op", Json.String "estimate"); ("spec", Json.String "vol") ]);
-      ignore (request_exn client [ ("op", Json.String "stats") ]);
-      let text = output_exn client [ ("op", Json.String "metrics") ] in
-      let family = "slif_server_recent_request_duration_microseconds" in
-      (* [suffix] sample lines as (op label, value). *)
-      let samples suffix =
-        let prefix = family ^ suffix ^ {|{op="|} in
+      contains "# TYPE slif_server_loop_iterations_total counter";
+      (* The recent-latency summary's [_sum] is the window's true sum, so
+         sum/count reads as the recent mean rather than 0. *)
+      let recent suffix =
+        let prefix = "slif_server_recent_request_duration_microseconds" ^ suffix ^ {|{op="|} in
         let pl = String.length prefix in
         List.filter_map
           (fun line ->
@@ -525,7 +516,7 @@ let test_metrics_recent_sum () =
             else None)
           (String.split_on_char '\n' text)
       in
-      let counts = samples "_count" and sums = samples "_sum" in
+      let counts = recent "_count" and sums = recent "_sum" in
       Alcotest.(check bool) "estimate has a recent window" true
         (List.assoc_opt "estimate" counts = Some 1.0);
       List.iter
@@ -1016,8 +1007,6 @@ let suite =
     Alcotest.test_case "lru capacity one" `Quick test_lru_capacity_one;
     Alcotest.test_case "health op" `Slow test_health_op;
     Alcotest.test_case "metrics op (Prometheus exposition)" `Slow test_metrics_op;
-    Alcotest.test_case "metrics recent-latency sum is the window's" `Slow
-      test_metrics_recent_sum;
     Alcotest.test_case "stats op carries gc and pool blocks" `Slow test_stats_gc_pool;
     Alcotest.test_case "trace ids shared by spans and event log" `Slow
       test_trace_ids_shared;
