@@ -1602,8 +1602,8 @@ let a12 () =
   let table =
     Slif_util.Table.create
       ~header:
-        [ "nodes"; "gen(s)"; "graph(s)"; "est us/node"; "moves/s"; "v1 B/node";
-          "v2 B/node"; "lazy open(ms)" ]
+        [ "nodes"; "gen(s)"; "graph(s)"; "est us/node"; "moves/s"; "v2 B/node";
+          "lazy open(ms)" ]
   in
   List.iter
     (fun n ->
@@ -1644,16 +1644,14 @@ let a12 () =
       let moves_per_s =
         if t_moves > 0.0 then float_of_int !applied /. t_moves else 0.0
       in
-      let v1 = Slif_store.Store.slif_to_string slif in
-      let v2 = Slif_store.Store.slif_to_string ~version:2 slif in
-      let v1_bpn = float_of_int (String.length v1) /. float_of_int n in
+      let v2 = Slif_store.Store.slif_to_string slif in
       let v2_bpn = float_of_int (String.length v2) /. float_of_int n in
       (* The daemon's admission path: map the container, answer metadata
          without decoding a single graph section. *)
       let path = Filename.temp_file "slif_a12" ".slifstore" in
       Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
       @@ fun () ->
-      Slif_store.Store.save_slif ~path ~version:2 slif;
+      Slif_store.Store.save_slif ~path slif;
       let decodes_before = Slif_obs.Counter.get "store.lazy.full_decode" in
       let handle, t_open =
         Slif_obs.Clock.time (fun () ->
@@ -1670,7 +1668,6 @@ let a12 () =
       Slif_obs.Counter.add (tag "graph_ms") (int_of_float (t_graph *. 1e3));
       Slif_obs.Counter.add (tag "est_ns_per_node") (int_of_float (est_us_per_node *. 1e3));
       Slif_obs.Counter.add (tag "moves_per_s") (int_of_float moves_per_s);
-      Slif_obs.Counter.add (tag "v1_bytes_per_node") (int_of_float v1_bpn);
       Slif_obs.Counter.add (tag "v2_bytes_per_node") (int_of_float v2_bpn);
       Slif_obs.Counter.add (tag "lazy_open_us") (int_of_float (t_open *. 1e6));
       Slif_util.Table.add_row table
@@ -1680,7 +1677,6 @@ let a12 () =
           Printf.sprintf "%.3f" t_graph;
           Printf.sprintf "%.3f" est_us_per_node;
           Printf.sprintf "%.0f" moves_per_s;
-          Printf.sprintf "%.1f" v1_bpn;
           Printf.sprintf "%.1f" v2_bpn;
           Printf.sprintf "%.2f" (t_open *. 1e3);
         ])

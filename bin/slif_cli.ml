@@ -548,7 +548,7 @@ let store_cmd =
 (* --- synth ------------------------------------------------------------------ *)
 
 let synth_cmd =
-  let run obs seed nodes family depth fanout var_fraction sharing jobs out version =
+  let run obs seed nodes family depth fanout var_fraction sharing jobs out =
     with_obs obs @@ fun () ->
     let family =
       match Slif_synth.Synth.family_of_string family with
@@ -556,9 +556,6 @@ let synth_cmd =
       | Error msg -> failf "%s" msg
     in
     if jobs < 1 then failf "--jobs must be at least 1";
-    (match version with
-    | 1 | 2 -> ()
-    | v -> failf "--format must be 1 or 2 (got %d)" v);
     let p =
       {
         (Slif_synth.Synth.default_params ~seed ~nodes family) with
@@ -579,11 +576,11 @@ let synth_cmd =
     (match out with
     | Some path ->
         let (), t_write =
-          Slif_obs.Clock.time (fun () -> Store.save_slif ~path ~version slif)
+          Slif_obs.Clock.time (fun () -> Store.save_slif ~path slif)
         in
         let bytes = (Unix.stat path).Unix.st_size in
-        Printf.printf "wrote %s (format v%d, %d bytes, %.1f bytes/node)\n" path version
-          bytes
+        Printf.printf "wrote %s (format v%d, %d bytes, %.1f bytes/node)\n" path
+          Store.format_version bytes
           (float_of_int bytes /. float_of_int nodes);
         Printf.printf "generate %.3fs  write %.3fs\n" t_gen t_write
     | None -> Printf.printf "generate %.3fs\n" t_gen);
@@ -630,18 +627,13 @@ let synth_cmd =
     Arg.(value & opt (some string) None
          & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write the graph as a store container.")
   in
-  let version =
-    Arg.(value & opt int Store.format_version_v2
-         & info [ "format" ] ~docv:"V"
-             ~doc:"Store format version to write: 1 (eager) or 2 (lazily decodable).")
-  in
   Cmd.v
     (Cmd.info "synth"
        ~doc:"Generate a deterministic synthetic access graph (and optionally write it \
              as a store container).")
     Term.(
       const run $ obs_term $ seed $ nodes $ family $ depth $ fanout $ var_fraction
-      $ sharing $ jobs $ out $ version)
+      $ sharing $ jobs $ out)
 
 (* --- serve ------------------------------------------------------------------ *)
 

@@ -228,10 +228,6 @@ let source_of_bundled name =
            (String.concat ", "
               (List.map (fun s -> s.Specs.Registry.spec_name) Specs.Registry.all)))
 
-(* A store-file target resolves to either a shared lazy v2 handle or a
-   v1 marker (v1 containers can only be decoded whole). *)
-type stored = Lazy of Slif_store.Lazy_store.t | Eager_v1
-
 let stored_key path = "store:" ^ path
 
 (* Resolve a path to a cached handle, revalidating on every hit: the
@@ -248,12 +244,11 @@ let store_handle env path =
         match Slif_store.Lazy_store.open_file path with
         | Ok h ->
             Lru.add env.x_stores path h;
-            Ok (Lazy h)
-        | Error (Slif_store.Store.Unsupported_version 1) -> Ok Eager_v1
+            Ok h
         | Error err -> Error (Slif_store.Store.error_message err)
       in
       match Lru.find env.x_stores path with
-      | Some h when not (Slif_store.Lazy_store.stale h) -> Ok (Lazy h)
+      | Some h when not (Slif_store.Lazy_store.stale h) -> Ok h
       | Some _ ->
           Obs.Counter.incr "server.store.reopen";
           Lru.remove env.x_stores path;
@@ -262,9 +257,8 @@ let store_handle env path =
       | None -> reopen ())
 
 (* Admission control: decode nothing whose decoded form would not fit
-   the [--max-graph-mb] budget.  [bytes] is META's decoded-heap estimate
-   for a v2 container and the file size (a lower bound on the decoded
-   heap) for a v1 one. *)
+   the [--max-graph-mb] budget.  [bytes] is META's decoded-heap
+   estimate. *)
 let check_graph_budget env ~path ~bytes =
   match env.x_cfg.max_graph_mb with
   | Some mb when bytes > mb * 1024 * 1024 ->
@@ -304,7 +298,7 @@ let resolve env target profile =
              entry before we consult it. *)
           match store_handle env path with
           | Error _ as e -> e
-          | Ok stored -> (
+          | Ok h -> (
               let key = stored_key path in
               match Lru.Sharded.find env.x_lru key with
               | Some slif ->
@@ -312,31 +306,16 @@ let resolve env target profile =
                   Ok (key, slif)
               | None -> (
                   lru_miss ();
-                  match stored with
-                  | Lazy h -> (
-                      check_graph_budget env ~path
-                        ~bytes:(Slif_store.Lazy_store.decoded_bytes_estimate h);
-                      match
-                        Obs.Span.with_ "server.store.decode" (fun () ->
-                            Slif_store.Lazy_store.slif h)
-                      with
-                      | Error err -> Error (Slif_store.Store.error_message err)
-                      | Ok (slif, _prov) ->
-                          Lru.Sharded.add env.x_lru key slif;
-                          Ok (key, slif))
-                  | Eager_v1 -> (
-                      match Slif_store.Store.read_file path with
-                      | Error err -> Error (Slif_store.Store.error_message err)
-                      | Ok text -> (
-                          check_graph_budget env ~path ~bytes:(String.length text);
-                          match
-                            Obs.Span.with_ "server.store.decode" (fun () ->
-                                Slif_store.Store.slif_of_string text)
-                          with
-                          | Error err -> Error (Slif_store.Store.error_message err)
-                          | Ok (slif, _prov) ->
-                              Lru.Sharded.add env.x_lru key slif;
-                              Ok (key, slif)))))))
+                  check_graph_budget env ~path
+                    ~bytes:(Slif_store.Lazy_store.decoded_bytes_estimate h);
+                  match
+                    Obs.Span.with_ "server.store.decode" (fun () ->
+                        Slif_store.Lazy_store.slif h)
+                  with
+                  | Error err -> Error (Slif_store.Store.error_message err)
+                  | Ok (slif, _prov) ->
+                      Lru.Sharded.add env.x_lru key slif;
+                      Ok (key, slif)))))
   | Protocol.Key key -> (
       match Lru.Sharded.find env.x_lru key with
       | Some slif ->
@@ -461,14 +440,13 @@ let fields_of_request env req =
   in
   match req with
   | Protocol.Load { target = Protocol.Stored path; profile = None } -> (
-      (* A v2 container answers from its mapped directory + META — the
-         graph sections stay undecoded however large the file is, so
-         the daemon can describe graphs far over its LRU (or
-         --max-graph-mb) budget.  v1 cannot be decoded piecemeal and
-         takes the ordinary resolve path below. *)
+      (* A store answers from its mapped directory + META — the graph
+         sections stay undecoded however large the file is, so the
+         daemon can describe graphs far over its LRU (or --max-graph-mb)
+         budget. *)
       match store_handle env path with
       | Error _ as e -> e
-      | Ok (Lazy h) ->
+      | Ok h ->
           let m = Slif_store.Lazy_store.meta h in
           Ok
             [
@@ -480,17 +458,7 @@ let fields_of_request env req =
               ( "decoded_bytes_estimate",
                 J.Int (Slif_store.Lazy_store.decoded_bytes_estimate h) );
               ("file_bytes", J.Int (Slif_store.Lazy_store.file_size h));
-            ]
-      | Ok Eager_v1 ->
-          with_target (Protocol.Stored path) None (fun key (slif : Slif.Types.t) ->
-              Ok
-                [
-                  ("key", J.String key);
-                  ("design", J.String slif.Slif.Types.design_name);
-                  ("nodes", J.Int (Array.length slif.Slif.Types.nodes));
-                  ("channels", J.Int (Array.length slif.Slif.Types.chans));
-                  ("lazy", J.Bool false);
-                ]))
+            ])
   | Protocol.Load { target; profile } ->
       with_target target profile (fun key (slif : Slif.Types.t) ->
           Ok

@@ -1,6 +1,12 @@
+(* The cache-entry schema, not the write format: it changes only when
+   entries an older binary wrote stop being readable.  Every entry is
+   written as v2 now, but v1 entries still decode, so existing caches
+   keep hitting under unchanged keys. *)
+let entry_schema = 1
+
 let tech_fingerprint () =
   let names = List.map Tech.Parts.technology_name Tech.Parts.all in
-  Printf.sprintf "techs=%s;store=%d" (String.concat "," names) Store.format_version
+  Printf.sprintf "techs=%s;store=%d" (String.concat "," names) entry_schema
 
 (* Length-prefix each component so concatenations cannot collide. *)
 let key ~source ?profile () =

@@ -1,9 +1,12 @@
 (** Content-addressed cache of annotated SLIF store files.
 
     The cache key is the MD5 of (source text, profile text, technology
-    fingerprint, format version): any input that changes the annotation
+    fingerprint, entry schema): any input that changes the annotation
     result changes the key, so entries never go stale silently — a new
-    input simply misses.  Entries live as [<dir>/<key>.slifstore]
+    input simply misses.  The entry schema changes only when entries an
+    older binary wrote can no longer be read, so keys outlive format
+    changes that keep old entries readable (v1 entries still load;
+    every new entry is written as v2).  Entries live as [<dir>/<key>.slifstore]
     containers written by {!Store.save_slif}; a corrupt or mismatched
     entry is rebuilt and overwritten, never trusted.
 
@@ -13,7 +16,7 @@
 
 val tech_fingerprint : unit -> string
 (** Identifies the {!Tech.Parts} catalog baked into this binary (names
-    plus the store format version).  Annotation weights are pure
+    plus the cache-entry schema).  Annotation weights are pure
     functions of (source, profile, catalog), so this is the third key
     component. *)
 

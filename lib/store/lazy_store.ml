@@ -6,8 +6,8 @@ type t = {
   path : string;
   size : int;
   map : map;
-  entries : Store.v2_entry list;
-  meta : Store.v2_meta;
+  dir : int * Store.section_info list;
+  meta : Store.meta;
   ident : identity;
   lock : Mutex.t;
   (* The decoded graph is held weakly: the caller (the daemon's LRU) owns
@@ -55,15 +55,25 @@ let open_file path =
               (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |])
           in
           let fetch = fetch_map map size in
-          let* entries = guarded (fun () -> Store.v2_directory ~total:size fetch) in
-          let* meta_p = guarded (fun () -> Store.v2_section ~fetch entries "META") in
-          let* meta = Store.v2_decode_meta meta_p in
+          let* ((version, _) as dir) =
+            guarded (fun () -> Store.directory ~total:size fetch)
+          in
+          let* () =
+            if version = Store.format_version then Ok ()
+            else Error (Store.Unsupported_version version)
+          in
+          let* meta = guarded (fun () -> Store.read_meta ~fetch dir) in
+          let* () =
+            match meta.Store.vm_kind with
+            | Store.Kslif -> Ok ()
+            | Store.Kdecision -> Error (Store.Decode "container holds a decision, not a SLIF")
+          in
           Ok
             {
               path;
               size;
               map;
-              entries;
+              dir;
               meta;
               ident =
                 {
@@ -83,13 +93,10 @@ let open_file path =
   | exception Sys_error msg -> Error (Store.Io msg)
   | exception Invalid_argument msg -> Error (Store.Decode msg)
 
-let path t = t.path
 let file_size t = t.size
 let meta t = t.meta
 let design t = t.meta.Store.vm_design
-let kind t = t.meta.Store.vm_kind
 let decoded_bytes_estimate t = t.meta.Store.vm_decoded_bytes
-let identity t = t.ident
 
 (* [save_slif] replaces a store by renaming a fresh temporary over it, so
    a regenerated file is a different inode; size/mtime catch in-place
@@ -104,22 +111,6 @@ let stale t =
       || st.Unix.st_ino <> t.ident.id_ino
       || st.Unix.st_size <> t.ident.id_size
       || st.Unix.st_mtime <> t.ident.id_mtime
-
-let sections t =
-  List.map
-    (fun (e : Store.v2_entry) ->
-      {
-        Store.sec_tag = e.Store.v2_tag;
-        sec_offset = e.Store.v2_off;
-        sec_size = e.Store.v2_len;
-        sec_crc = e.Store.v2_crc;
-      })
-    t.entries
-
-let provenance t =
-  guarded (fun () ->
-      let* p = Store.v2_section ~fetch:(fetch_map t.map t.size) t.entries "PROV" in
-      Store.decode_prov p)
 
 let decoded t =
   Mutex.lock t.lock;
@@ -140,7 +131,7 @@ let slif t =
           | None -> (
               match
                 guarded (fun () ->
-                    Store.v2_decode_slif ~fetch:(fetch_map t.map t.size) t.entries)
+                    Store.decode_slif ~fetch:(fetch_map t.map t.size) t.dir)
               with
               | Ok v as r ->
                   Slif_obs.Counter.incr "store.lazy.full_decode";

@@ -21,36 +21,25 @@
 type t
 
 val open_file : string -> (t, Store.error) result
-(** Maps the file and validates header + directory + META.  v1
+(** Maps the file and validates header + directory + META.  Legacy v1
     containers (which cannot be decoded piecemeal) yield
-    [Unsupported_version 1]; callers fall back to {!Store.load_slif}.
+    [Unsupported_version 1], whose message says to rewrite the file with
+    [slif store write]; a decision container yields [Decode].
     Malformed directories — including offset/length pairs engineered to
     overflow — yield a typed error, never an exception. *)
 
-val path : t -> string
 val file_size : t -> int
 val design : t -> string
-val kind : t -> Store.kind
-val meta : t -> Store.v2_meta
+val meta : t -> Store.meta
 
 val decoded_bytes_estimate : t -> int
 (** META's write-time estimate of the decoded graph's heap bytes. *)
-
-type identity = { id_dev : int; id_ino : int; id_size : int; id_mtime : float }
-
-val identity : t -> identity
-(** The (device, inode, size, mtime) of the file as it was mapped. *)
 
 val stale : t -> bool
 (** Whether the path now names different bytes than the mapping serves:
     [save_slif] renames a fresh inode over the old one, which the mmap
     pins.  True when the file was replaced, rewritten, or unlinked —
     callers should drop the handle and reopen. *)
-
-val sections : t -> Store.section_info list
-
-val provenance : t -> (Store.provenance, Store.error) result
-(** Decodes the (small) PROV section on demand. *)
 
 val decoded : t -> bool
 (** Whether a forced decode (graph or error) is currently memoized.

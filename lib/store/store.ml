@@ -6,26 +6,30 @@ type error =
   | Checksum_mismatch of string
   | Decode of string
 
+let magic = "SLIFSTOR"
+
+(* v2 is the only format written.  v1 (back-to-back sections, no
+   directory) is still read by the eager decoders, so old files keep
+   loading; the lazy reader serves v2 only. *)
+let format_version = 2
+let tool_name = "slif-store/1"
+
 let error_message = function
   | Io msg -> msg
   | Bad_magic -> "not a SLIF store file (bad magic)"
+  | Unsupported_version v when v > format_version ->
+      Printf.sprintf "store format version %d is newer than this tool (max %d)" v
+        format_version
   | Unsupported_version v ->
-      Printf.sprintf "store format version %d is newer than this tool (max %d)" v 2
+      Printf.sprintf
+        "store format version %d is a legacy format; rewrite the file with `slif store \
+         write` (format v%d)"
+        v format_version
   | Truncated what -> Printf.sprintf "truncated store file (%s)" what
   | Checksum_mismatch tag -> Printf.sprintf "checksum mismatch in section %S" tag
   | Decode msg -> Printf.sprintf "malformed store file: %s" msg
 
 exception Store_error of error
-
-let magic = "SLIFSTOR"
-
-(* v1 is the default write format (content-addressed cache keys and the
-   golden corpus are pinned to its bytes); v2 adds the offset-indexed
-   section directory that makes containers lazily decodable. *)
-let format_version = 1
-let format_version_v2 = 2
-let max_format_version = 2
-let tool_name = "slif-store/1"
 
 type provenance = {
   pv_source_md5 : string;
@@ -37,65 +41,144 @@ let no_provenance = { pv_source_md5 = ""; pv_profile = None; pv_tech = "" }
 
 type kind = Kslif | Kdecision
 
-(* --- Container framing ---------------------------------------------------- *)
+type section_info = {
+  sec_tag : string;
+  sec_offset : int;  (* byte offset of the payload within the container *)
+  sec_size : int;
+  sec_crc : int32;
+}
+
+(* --- Container framing ------------------------------------------------------
+
+     magic | u32 version=2 | u32 count | count x (tag4, u64 off, u64 len,
+     u32 crc) | u32 dir-crc | payloads...
+
+   The directory up front lets a reader map the file, verify ~a hundred
+   directory bytes, and then decode exactly the sections it needs; each
+   payload's CRC is checked when (and only when) that payload is
+   fetched.  Legacy v1 containers frame sections back-to-back as
+   [tag4 | u32 len | u32 crc | payload] after the same 12-byte prelude;
+   the reader walks them into the same entry list. *)
 
 let add_u32_le buf v = Buffer.add_int32_le buf (Int32.of_int v)
-
-let section buf tag payload =
-  assert (String.length tag = 4);
-  Buffer.add_string buf tag;
-  add_u32_le buf (String.length payload);
-  Buffer.add_int32_le buf (Crc32.string payload);
-  Buffer.add_string buf payload
+let add_u64_le buf v = Buffer.add_int64_le buf (Int64.of_int v)
+let u32_le s pos = Int32.to_int (Int32.logand (String.get_int32_le s pos) 0xFFFFFFFFl)
+let dir_entry_size = 24
+let header_size count = 8 + 4 + 4 + (count * dir_entry_size) + 4
 
 let container sections =
-  let buf = Buffer.create 8192 in
+  let count = List.length sections in
+  let dir = Buffer.create (count * dir_entry_size) in
+  let off = ref (header_size count) in
+  List.iter
+    (fun (tag, payload) ->
+      assert (String.length tag = 4);
+      Buffer.add_string dir tag;
+      add_u64_le dir !off;
+      add_u64_le dir (String.length payload);
+      Buffer.add_int32_le dir (Crc32.string payload);
+      off := !off + String.length payload)
+    sections;
+  let dir = Buffer.contents dir in
+  let buf = Buffer.create !off in
   Buffer.add_string buf magic;
   add_u32_le buf format_version;
-  List.iter (fun (tag, payload) -> section buf tag payload) sections;
+  add_u32_le buf count;
+  Buffer.add_string buf dir;
+  Buffer.add_int32_le buf (Crc32.string dir);
+  List.iter (fun (_, payload) -> Buffer.add_string buf payload) sections;
   Buffer.contents buf
 
-let u32_le s pos = Int32.to_int (Int32.logand (String.get_int32_le s pos) 0xFFFFFFFFl)
+let has_section tag entries = List.exists (fun e -> e.sec_tag = tag) entries
 
-(* Split a container into (version, [tag, payload]) or a framing error. *)
-let split s =
-  let len = String.length s in
-  if len < String.length magic then Error Bad_magic
-  else if String.sub s 0 (String.length magic) <> magic then Error Bad_magic
-  else if len < String.length magic + 4 then Error (Truncated "version field")
+(* v2: parse and CRC-verify the directory.  Subtraction-form bounds
+   checks throughout: [off + len] can wrap past max_int on a crafted
+   directory, so never sum untrusted offsets. *)
+let v2_entries ~total fetch =
+  if total < 16 then Error (Truncated "directory header")
   else begin
-    let version = u32_le s (String.length magic) in
-    if version < 1 || version > format_version then Error (Unsupported_version version)
+    let count = u32_le (fetch ~pos:12 ~len:4) 0 in
+    let hsize = header_size count in
+    if total < hsize then Error (Truncated "section directory")
     else begin
-      let rec sections pos acc =
-        if pos = len then Ok (List.rev acc)
-        else if len - pos < 12 then Error (Truncated "section header")
-        else begin
-          let tag = String.sub s pos 4 in
-          let plen = u32_le s (pos + 4) in
-          let crc = Int32.of_int (u32_le s (pos + 8)) in
-          if plen > len - pos - 12 then Error (Truncated (Printf.sprintf "section %S" tag))
-          else if Crc32.sub s ~pos:(pos + 12) ~len:plen <> crc then
-            Error (Checksum_mismatch tag)
-          else if List.mem_assoc tag acc then
-            Error (Decode (Printf.sprintf "duplicate section %S" tag))
-          else sections (pos + 12 + plen) ((tag, String.sub s (pos + 12) plen) :: acc)
-        end
-      in
-      match sections (String.length magic + 4) [] with
-      | Ok secs -> Ok (version, secs)
-      | Error _ as e -> e
+      let dir = fetch ~pos:16 ~len:(count * dir_entry_size) in
+      let crc = fetch ~pos:(16 + String.length dir) ~len:4 in
+      if Crc32.string dir <> Int32.of_int (u32_le crc 0) then
+        Error (Checksum_mismatch "directory")
+      else begin
+        let rec entries i acc =
+          if i = count then Ok (List.rev acc)
+          else begin
+            let p = i * dir_entry_size in
+            let sec_tag = String.sub dir p 4 in
+            let sec_offset = Int64.to_int (String.get_int64_le dir (p + 4)) in
+            let sec_size = Int64.to_int (String.get_int64_le dir (p + 12)) in
+            let sec_crc = Int32.of_int (u32_le dir (p + 20)) in
+            if sec_offset < hsize || sec_size < 0 || sec_offset > total
+               || sec_size > total - sec_offset then
+              Error (Truncated (Printf.sprintf "section %S" sec_tag))
+            else if has_section sec_tag acc then
+              Error (Decode (Printf.sprintf "duplicate section %S" sec_tag))
+            else entries (i + 1) ({ sec_tag; sec_offset; sec_size; sec_crc } :: acc)
+          end
+        in
+        entries 0 []
+      end
     end
   end
 
-let find_section sections tag =
-  match List.assoc_opt tag sections with
-  | Some payload -> Ok payload
-  | None -> Error (Decode (Printf.sprintf "missing section %S" tag))
+(* v1: walk the section headers, checking every payload CRC up front
+   (v1 has no directory checksum to lean on). *)
+let v1_entries ~total fetch =
+  let rec walk pos acc =
+    if pos = total then Ok (List.rev acc)
+    else if total - pos < 12 then Error (Truncated "section header")
+    else begin
+      let h = fetch ~pos ~len:12 in
+      let sec_tag = String.sub h 0 4 in
+      let sec_size = u32_le h 4 in
+      let sec_crc = Int32.of_int (u32_le h 8) in
+      if sec_size > total - pos - 12 then
+        Error (Truncated (Printf.sprintf "section %S" sec_tag))
+      else if Crc32.string (fetch ~pos:(pos + 12) ~len:sec_size) <> sec_crc then
+        Error (Checksum_mismatch sec_tag)
+      else if has_section sec_tag acc then
+        Error (Decode (Printf.sprintf "duplicate section %S" sec_tag))
+      else
+        walk (pos + 12 + sec_size)
+          ({ sec_tag; sec_offset = pos + 12; sec_size; sec_crc } :: acc)
+    end
+  in
+  walk 12 []
 
-(* Run a Codec-level decoder over a payload, mapping reader failures to
-   the typed error and insisting the payload is fully consumed. *)
-let decode_payload tag payload f =
+let directory ~total fetch =
+  if total < 8 || fetch ~pos:0 ~len:8 <> magic then Error Bad_magic
+  else if total < 12 then Error (Truncated "version field")
+  else
+    let version = u32_le (fetch ~pos:8 ~len:4) 0 in
+    let entries =
+      match version with
+      | 1 -> v1_entries ~total fetch
+      | 2 -> v2_entries ~total fetch
+      | v -> Error (Unsupported_version v)
+    in
+    Result.map (fun entries -> (version, entries)) entries
+
+let section ~fetch entries tag =
+  match List.find_opt (fun e -> e.sec_tag = tag) entries with
+  | None -> Error (Decode (Printf.sprintf "missing section %S" tag))
+  | Some e ->
+      let payload = fetch ~pos:e.sec_offset ~len:e.sec_size in
+      if Crc32.string payload <> e.sec_crc then Error (Checksum_mismatch tag)
+      else Ok payload
+
+let ( let* ) = Result.bind
+
+(* Run a Codec-level decoder over a section's payload, mapping reader
+   failures to the typed error and insisting the payload is fully
+   consumed. *)
+let decode_section ~fetch entries tag f =
+  let* payload = section ~fetch entries tag in
   let r = Codec.R.of_string payload in
   match f r with
   | v ->
@@ -104,28 +187,92 @@ let decode_payload tag payload f =
   | exception Codec.R.Error msg ->
       Error (Decode (Printf.sprintf "section %S: %s" tag msg))
 
-let ( let* ) = Result.bind
-
 (* --- META / PROV sections -------------------------------------------------- *)
 
-let meta_payload ~kind ~design =
+open Slif.Types
+
+type meta = {
+  vm_kind : kind;
+  vm_design : string;
+  vm_nodes : int;
+  vm_ports : int;
+  vm_chans : int;
+  vm_procs : int;
+  vm_mems : int;
+  vm_buses : int;
+  vm_decoded_bytes : int;  (* estimated heap bytes of the decoded Types.t *)
+}
+
+(* Rough decoded-heap model (bytes), computed at write time so admission
+   control can reject an over-budget graph from META alone.  Counts the
+   records, boxes and strings [slif_of_string] allocates; it is an
+   estimate, not an accounting — §15 documents the model. *)
+let decoded_estimate (s : t) =
+  let str name = 8 * (3 + (String.length name / 8)) in
+  let weights l = List.fold_left (fun acc (tn, _) -> acc + 80 + str tn) 0 l in
+  let node acc (n : node) = acc + 96 + str n.n_name + weights n.n_ict + weights n.n_size in
+  let port acc (p : port) = acc + 56 + str p.pt_name in
+  let proc acc (p : processor) = acc + 96 + str p.p_name + str p.p_tech in
+  let mem acc (m : memory) = acc + 72 + str m.m_name + str m.m_tech in
+  let bus acc (b : bus) =
+    acc + 120 + str b.b_name
+    + List.fold_left (fun a (tn, _) -> a + 80 + str tn) 0 b.b_ts_by_tech
+    + List.fold_left (fun a ((ta, tb), _) -> a + 104 + str ta + str tb) 0 b.b_td_by_pair
+  in
+  Array.fold_left node 0 s.nodes
+  + Array.fold_left port 0 s.ports
+  + (Array.length s.chans * 112)
+  + Array.fold_left proc 0 s.procs
+  + Array.fold_left mem 0 s.mems
+  + Array.fold_left bus 0 s.buses
+
+(* A decision's META describes the design it was recorded on. *)
+let meta_payload kind (s : t) =
   let b = Codec.W.create () in
   Codec.W.byte b (match kind with Kslif -> 0 | Kdecision -> 1);
-  Codec.W.str b design;
+  Codec.W.str b s.design_name;
   Codec.W.str b tool_name;
+  Codec.W.uint b (Array.length s.nodes);
+  Codec.W.uint b (Array.length s.ports);
+  Codec.W.uint b (Array.length s.chans);
+  Codec.W.uint b (Array.length s.procs);
+  Codec.W.uint b (Array.length s.mems);
+  Codec.W.uint b (Array.length s.buses);
+  Codec.W.uint b (decoded_estimate s);
   Codec.W.contents b
 
-let decode_meta payload =
-  decode_payload "META" payload (fun r ->
-      let kind =
-        match Codec.R.byte r with
-        | 0 -> Kslif
-        | 1 -> Kdecision
-        | n -> raise (Codec.R.Error (Printf.sprintf "unknown container kind %d" n))
-      in
-      let design = Codec.R.str r in
-      let _tool = Codec.R.str r in
-      (kind, design))
+(* v1 META stops after the tool name; its counts read as zero. *)
+let decode_meta version r =
+  let vm_kind =
+    match Codec.R.byte r with
+    | 0 -> Kslif
+    | 1 -> Kdecision
+    | n -> raise (Codec.R.Error (Printf.sprintf "unknown container kind %d" n))
+  in
+  let vm_design = Codec.R.str r in
+  let _tool = Codec.R.str r in
+  let count () = if version >= 2 then Codec.R.uint r else 0 in
+  let vm_nodes = count () in
+  let vm_ports = count () in
+  let vm_chans = count () in
+  let vm_procs = count () in
+  let vm_mems = count () in
+  let vm_buses = count () in
+  let vm_decoded_bytes = count () in
+  {
+    vm_kind;
+    vm_design;
+    vm_nodes;
+    vm_ports;
+    vm_chans;
+    vm_procs;
+    vm_mems;
+    vm_buses;
+    vm_decoded_bytes;
+  }
+
+let read_meta ~fetch (version, entries) =
+  decode_section ~fetch entries "META" (decode_meta version)
 
 let prov_payload p =
   let b = Codec.W.create () in
@@ -134,21 +281,44 @@ let prov_payload p =
   Codec.W.str b p.pv_tech;
   Codec.W.contents b
 
-let decode_prov payload =
-  decode_payload "PROV" payload (fun r ->
-      let pv_source_md5 = Codec.R.str r in
-      let pv_profile = Codec.R.option r Codec.R.str in
-      let pv_tech = Codec.R.str r in
-      { pv_source_md5; pv_profile; pv_tech })
+let read_prov ~fetch entries =
+  if not (has_section "PROV" entries) then Ok None
+  else
+    decode_section ~fetch entries "PROV" (fun r ->
+        let pv_source_md5 = Codec.R.str r in
+        let pv_profile = Codec.R.option r Codec.R.str in
+        let pv_tech = Codec.R.str r in
+        Some { pv_source_md5; pv_profile; pv_tech })
 
 (* --- SLIF graph sections --------------------------------------------------- *)
 
-open Slif.Types
+(* NODE weights name their technology by an index into the TECH table
+   (an inline string in v1). *)
+let tech_table (s : t) =
+  let ix = Hashtbl.create 16 in
+  let rev = ref [] in
+  let n = ref 0 in
+  let intern name =
+    if not (Hashtbl.mem ix name) then begin
+      Hashtbl.add ix name !n;
+      rev := name :: !rev;
+      incr n
+    end
+  in
+  Array.iter
+    (fun (nd : node) ->
+      List.iter (fun (tn, _) -> intern tn) nd.n_ict;
+      List.iter (fun (tn, _) -> intern tn) nd.n_size)
+    s.nodes;
+  (Array.of_list (List.rev !rev), ix)
 
-let w_weights b = Codec.W.list b (fun b (t, v) -> Codec.W.str b t; Codec.W.f64 b v)
-let r_weights r = Codec.R.list r (fun r -> Codec.R.pair r Codec.R.str Codec.R.f64)
+let tech_index techs r =
+  let k = Codec.R.uint r in
+  if k >= Array.length techs then
+    raise (Codec.R.Error (Printf.sprintf "tech index %d out of table" k));
+  techs.(k)
 
-let w_node b (n : node) =
+let w_node ix b (n : node) =
   Codec.W.int b n.n_id;
   Codec.W.str b n.n_name;
   (match n.n_kind with
@@ -159,10 +329,17 @@ let w_node b (n : node) =
       Codec.W.byte b 1;
       Codec.W.int b storage_bits;
       Codec.W.int b transfer_bits);
+  let w_weights b l =
+    Codec.W.list b
+      (fun b (tn, v) ->
+        Codec.W.uint b (Hashtbl.find ix tn);
+        Codec.W.f64 b v)
+      l
+  in
   w_weights b n.n_ict;
   w_weights b n.n_size
 
-let r_node r =
+let r_node tech r =
   let n_id = Codec.R.int r in
   let n_name = Codec.R.str r in
   let n_kind =
@@ -174,6 +351,7 @@ let r_node r =
         Variable { storage_bits; transfer_bits }
     | n -> raise (Codec.R.Error (Printf.sprintf "unknown node kind %d" n))
   in
+  let r_weights r = Codec.R.list r (fun r -> Codec.R.pair r tech Codec.R.f64) in
   let n_ict = r_weights r in
   let n_size = r_weights r in
   { n_id; n_name; n_kind; n_ict; n_size }
@@ -307,273 +485,16 @@ let payload_of f x =
   f b x;
   Codec.W.contents b
 
-(* --- Format v2: offset-indexed, lazily decodable containers ----------------
-
-   v1 frames sections back-to-back, so reaching any section means walking
-   (and CRC-summing) everything before it — a reader cannot answer "how
-   many nodes?" without touching the whole file.  v2 puts a directory up
-   front:
-
-     magic | u32 version=2 | u32 count | count x (tag4, u64 off, u64 len,
-     u32 crc) | u32 dir-crc | payloads...
-
-   so a reader maps the file, verifies ~a hundred directory bytes, and
-   then decodes exactly the sections it needs; each payload's CRC is
-   checked when (and only when) that payload is decoded.  Two payload
-   changes ride along: META carries the object counts and a decoded-heap
-   estimate (metadata queries and admission-control budgets need neither
-   NODE nor CHAN), and NODE references an interned TECH string table
-   instead of repeating technology names per weight — the dominant
-   per-node byte cost in v1, and a heap saving on decode since all nodes
-   share one string per technology. *)
-
-type v2_entry = { v2_tag : string; v2_off : int; v2_len : int; v2_crc : int32 }
-
-type v2_meta = {
-  vm_kind : kind;
-  vm_design : string;
-  vm_nodes : int;
-  vm_ports : int;
-  vm_chans : int;
-  vm_procs : int;
-  vm_mems : int;
-  vm_buses : int;
-  vm_decoded_bytes : int;  (* estimated heap bytes of the decoded Types.t *)
-}
-
-let v2_dir_entry_size = 24
-let v2_header_size count = 8 + 4 + 4 + (count * v2_dir_entry_size) + 4
-
-(* Rough decoded-heap model (bytes), computed at write time so admission
-   control can reject an over-budget graph from META alone.  Counts the
-   records, boxes and strings [slif_of_string] allocates; it is an
-   estimate, not an accounting — §15 documents the model. *)
-let v2_decoded_estimate (s : t) =
-  let str name = 8 * (3 + (String.length name / 8)) in
-  let weights l = List.fold_left (fun acc (tn, _) -> acc + 80 + str tn) 0 l in
-  let node acc (n : node) = acc + 96 + str n.n_name + weights n.n_ict + weights n.n_size in
-  let port acc (p : port) = acc + 56 + str p.pt_name in
-  let proc acc (p : processor) = acc + 96 + str p.p_name + str p.p_tech in
-  let mem acc (m : memory) = acc + 72 + str m.m_name + str m.m_tech in
-  let bus acc (b : bus) =
-    acc + 120 + str b.b_name
-    + List.fold_left (fun a (tn, _) -> a + 80 + str tn) 0 b.b_ts_by_tech
-    + List.fold_left (fun a ((ta, tb), _) -> a + 104 + str ta + str tb) 0 b.b_td_by_pair
-  in
-  Array.fold_left node 0 s.nodes
-  + Array.fold_left port 0 s.ports
-  + (Array.length s.chans * 112)
-  + Array.fold_left proc 0 s.procs
-  + Array.fold_left mem 0 s.mems
-  + Array.fold_left bus 0 s.buses
-
-let v2_meta_payload (s : t) =
-  let b = Codec.W.create () in
-  Codec.W.byte b 0 (* Kslif *);
-  Codec.W.str b s.design_name;
-  Codec.W.str b tool_name;
-  Codec.W.uint b (Array.length s.nodes);
-  Codec.W.uint b (Array.length s.ports);
-  Codec.W.uint b (Array.length s.chans);
-  Codec.W.uint b (Array.length s.procs);
-  Codec.W.uint b (Array.length s.mems);
-  Codec.W.uint b (Array.length s.buses);
-  Codec.W.uint b (v2_decoded_estimate s);
-  Codec.W.contents b
-
-let v2_decode_meta payload =
-  decode_payload "META" payload (fun r ->
-      let vm_kind =
-        match Codec.R.byte r with
-        | 0 -> Kslif
-        | 1 -> Kdecision
-        | n -> raise (Codec.R.Error (Printf.sprintf "unknown container kind %d" n))
-      in
-      let vm_design = Codec.R.str r in
-      let _tool = Codec.R.str r in
-      let vm_nodes = Codec.R.uint r in
-      let vm_ports = Codec.R.uint r in
-      let vm_chans = Codec.R.uint r in
-      let vm_procs = Codec.R.uint r in
-      let vm_mems = Codec.R.uint r in
-      let vm_buses = Codec.R.uint r in
-      let vm_decoded_bytes = Codec.R.uint r in
-      {
-        vm_kind;
-        vm_design;
-        vm_nodes;
-        vm_ports;
-        vm_chans;
-        vm_procs;
-        vm_mems;
-        vm_buses;
-        vm_decoded_bytes;
-      })
-
-(* NODE with interned technology names: weight entries are (tech index,
-   value) against the TECH table. *)
-let v2_tech_table (s : t) =
-  let ix = Hashtbl.create 16 in
-  let rev = ref [] in
-  let n = ref 0 in
-  let intern name =
-    if not (Hashtbl.mem ix name) then begin
-      Hashtbl.add ix name !n;
-      rev := name :: !rev;
-      incr n
-    end
-  in
-  Array.iter
-    (fun (nd : node) ->
-      List.iter (fun (tn, _) -> intern tn) nd.n_ict;
-      List.iter (fun (tn, _) -> intern tn) nd.n_size)
-    s.nodes;
-  (Array.of_list (List.rev !rev), ix)
-
-let v2_w_node ix b (n : node) =
-  Codec.W.int b n.n_id;
-  Codec.W.str b n.n_name;
-  (match n.n_kind with
-  | Behavior { is_process } ->
-      Codec.W.byte b 0;
-      Codec.W.bool b is_process
-  | Variable { storage_bits; transfer_bits } ->
-      Codec.W.byte b 1;
-      Codec.W.int b storage_bits;
-      Codec.W.int b transfer_bits);
-  let w_weights b l =
-    Codec.W.list b
-      (fun b (tn, v) ->
-        Codec.W.uint b (Hashtbl.find ix tn);
-        Codec.W.f64 b v)
-      l
-  in
-  w_weights b n.n_ict;
-  w_weights b n.n_size
-
-let v2_r_node techs r =
-  let n_id = Codec.R.int r in
-  let n_name = Codec.R.str r in
-  let n_kind =
-    match Codec.R.byte r with
-    | 0 -> Behavior { is_process = Codec.R.bool r }
-    | 1 ->
-        let storage_bits = Codec.R.int r in
-        let transfer_bits = Codec.R.int r in
-        Variable { storage_bits; transfer_bits }
-    | n -> raise (Codec.R.Error (Printf.sprintf "unknown node kind %d" n))
-  in
-  let r_weights r =
-    Codec.R.list r (fun r ->
-        let k = Codec.R.uint r in
-        if k >= Array.length techs then
-          raise (Codec.R.Error (Printf.sprintf "tech index %d out of table" k));
-        let v = Codec.R.f64 r in
-        (techs.(k), v))
-  in
-  let n_ict = r_weights r in
-  let n_size = r_weights r in
-  { n_id; n_name; n_kind; n_ict; n_size }
-
-let add_u64_le buf v = Buffer.add_int64_le buf (Int64.of_int v)
-
-let v2_container sections =
-  let count = List.length sections in
-  let base = v2_header_size count in
-  let dir = Buffer.create (count * v2_dir_entry_size) in
-  let off = ref base in
-  List.iter
-    (fun (tag, payload) ->
-      assert (String.length tag = 4);
-      Buffer.add_string dir tag;
-      add_u64_le dir !off;
-      add_u64_le dir (String.length payload);
-      Buffer.add_int32_le dir (Crc32.string payload);
-      off := !off + String.length payload)
-    sections;
-  let dir = Buffer.contents dir in
-  let buf = Buffer.create (!off) in
-  Buffer.add_string buf magic;
-  add_u32_le buf format_version_v2;
-  add_u32_le buf count;
-  Buffer.add_string buf dir;
-  Buffer.add_int32_le buf (Crc32.string dir);
-  List.iter (fun (_, payload) -> Buffer.add_string buf payload) sections;
-  Buffer.contents buf
-
-(* Version of a container (any format), from the fixed 12-byte prelude. *)
-let container_version s =
-  if String.length s < 8 || String.sub s 0 8 <> magic then Error Bad_magic
-  else if String.length s < 12 then Error (Truncated "version field")
-  else Ok (u32_le s 8)
-
-(* Parse a v2 directory through a [fetch ~pos ~len] callback, so the same
-   code serves an in-memory string and an mmap'd file.  [total] is the
-   container size in bytes; every entry is bounds-checked against it. *)
-let v2_directory ~total fetch =
-  if total < 16 then Error (Truncated "directory header")
-  else begin
-    let head = fetch ~pos:0 ~len:16 in
-    if String.sub head 0 8 <> magic then Error Bad_magic
-    else begin
-      let version = u32_le head 8 in
-      if version <> format_version_v2 then Error (Unsupported_version version)
-      else begin
-        let count = u32_le head 12 in
-        let hsize = v2_header_size count in
-        if count < 0 || total < hsize then Error (Truncated "section directory")
-        else begin
-          let dir = fetch ~pos:16 ~len:(count * v2_dir_entry_size) in
-          let crc = fetch ~pos:(16 + String.length dir) ~len:4 in
-          if Crc32.string dir <> Int32.of_int (u32_le crc 0) then
-            Error (Checksum_mismatch "directory")
-          else begin
-            let rec entries i acc =
-              if i = count then Ok (List.rev acc)
-              else begin
-                let p = i * v2_dir_entry_size in
-                let v2_tag = String.sub dir p 4 in
-                let v2_off = Int64.to_int (String.get_int64_le dir (p + 4)) in
-                let v2_len = Int64.to_int (String.get_int64_le dir (p + 12)) in
-                let v2_crc = Int32.of_int (u32_le dir (p + 20)) in
-                (* Subtraction-form bounds check: [v2_off + v2_len] can
-                   wrap past max_int on a crafted directory, so never
-                   sum attacker-controlled offsets. *)
-                if v2_off < hsize || v2_len < 0 || v2_off > total
-                   || v2_len > total - v2_off then
-                  Error (Truncated (Printf.sprintf "section %S" v2_tag))
-                else if List.exists (fun e -> e.v2_tag = v2_tag) acc then
-                  Error (Decode (Printf.sprintf "duplicate section %S" v2_tag))
-                else
-                  entries (i + 1)
-                    ({ v2_tag; v2_off; v2_len; v2_crc } :: acc)
-              end
-            in
-            entries 0 []
-          end
-        end
-      end
-    end
-  end
-
-(* Fetch one section's payload and verify its CRC — the per-section lazy
-   integrity check. *)
-let v2_section ~fetch entries tag =
-  match List.find_opt (fun e -> e.v2_tag = tag) entries with
-  | None -> Error (Decode (Printf.sprintf "missing section %S" tag))
-  | Some e ->
-      let payload = fetch ~pos:e.v2_off ~len:e.v2_len in
-      if Crc32.string payload <> e.v2_crc then Error (Checksum_mismatch tag)
-      else Ok payload
-
-let v2_slif_to_string ?(provenance = no_provenance) (s : t) =
-  let techs, ix = v2_tech_table s in
-  v2_container
+let slif_to_string ?(version = format_version) ?(provenance = no_provenance) (s : t) =
+  if version <> format_version then
+    invalid_arg (Printf.sprintf "Store.slif_to_string: unknown format version %d" version);
+  let techs, ix = tech_table s in
+  container
     [
-      ("META", v2_meta_payload s);
+      ("META", meta_payload Kslif s);
       ("PROV", prov_payload provenance);
       ("TECH", payload_of (fun b -> Codec.W.array b Codec.W.str) techs);
-      ("NODE", payload_of (fun b -> Codec.W.array b (v2_w_node ix)) s.nodes);
+      ("NODE", payload_of (fun b -> Codec.W.array b (w_node ix)) s.nodes);
       ("PORT", payload_of (fun b -> Codec.W.array b w_port) s.ports);
       ("CHAN", payload_of (fun b -> Codec.W.array b w_chan) s.chans);
       ( "COMP",
@@ -584,36 +505,29 @@ let v2_slif_to_string ?(provenance = no_provenance) (s : t) =
         Codec.W.contents b );
     ]
 
-(* Decode a full SLIF out of a v2 directory; shared by the eager string
-   reader below and Lazy_store's on-demand path. *)
-let v2_decode_slif ~fetch entries =
-  let* meta_p = v2_section ~fetch entries "META" in
-  let* meta = v2_decode_meta meta_p in
+(* Decode a full SLIF out of a container's directory; shared by the
+   eager string reader below and Lazy_store's on-demand path. *)
+let decode_slif ~fetch ((version, entries) as dir) =
+  let* meta = read_meta ~fetch dir in
   match meta.vm_kind with
   | Kdecision -> Error (Decode "container holds a decision, not a SLIF")
   | Kslif ->
-      let* prov =
-        match List.find_opt (fun e -> e.v2_tag = "PROV") entries with
-        | None -> Ok no_provenance
-        | Some _ ->
-            let* p = v2_section ~fetch entries "PROV" in
-            decode_prov p
+      let* prov = read_prov ~fetch entries in
+      let* tech =
+        if version = 1 then Ok Codec.R.str
+        else
+          let* techs =
+            decode_section ~fetch entries "TECH" (fun r -> Codec.R.array r Codec.R.str)
+          in
+          Ok (tech_index techs)
       in
-      let* tech_p = v2_section ~fetch entries "TECH" in
-      let* techs =
-        decode_payload "TECH" tech_p (fun r -> Codec.R.array r Codec.R.str)
-      in
-      let* node_p = v2_section ~fetch entries "NODE" in
       let* nodes =
-        decode_payload "NODE" node_p (fun r -> Codec.R.array r (v2_r_node techs))
+        decode_section ~fetch entries "NODE" (fun r -> Codec.R.array r (r_node tech))
       in
-      let* port_p = v2_section ~fetch entries "PORT" in
-      let* ports = decode_payload "PORT" port_p (fun r -> Codec.R.array r r_port) in
-      let* chan_p = v2_section ~fetch entries "CHAN" in
-      let* chans = decode_payload "CHAN" chan_p (fun r -> Codec.R.array r r_chan) in
-      let* comp_p = v2_section ~fetch entries "COMP" in
+      let* ports = decode_section ~fetch entries "PORT" (fun r -> Codec.R.array r r_port) in
+      let* chans = decode_section ~fetch entries "CHAN" (fun r -> Codec.R.array r r_chan) in
       let* procs, mems, buses =
-        decode_payload "COMP" comp_p (fun r ->
+        decode_section ~fetch entries "COMP" (fun r ->
             let procs = Codec.R.array r r_proc in
             let mems = Codec.R.array r r_mem in
             let buses = Codec.R.array r r_bus in
@@ -621,69 +535,22 @@ let v2_decode_slif ~fetch entries =
       in
       Ok
         ( { design_name = meta.vm_design; nodes; ports; chans; procs; mems; buses },
-          prov )
+          Option.value prov ~default:no_provenance )
 
 let string_fetch text ~pos ~len =
   let total = String.length text in
   if pos < 0 || len < 0 || pos > total || len > total - pos then ""
   else String.sub text pos len
 
-let slif_to_string ?(version = format_version) ?provenance (s : t) =
-  match version with
-  | 1 -> (
-      let sections =
-        [
-          ("META", meta_payload ~kind:Kslif ~design:s.design_name);
-          ( "PROV",
-            prov_payload (Option.value provenance ~default:no_provenance) );
-          ("NODE", payload_of (fun b -> Codec.W.array b w_node) s.nodes);
-          ("PORT", payload_of (fun b -> Codec.W.array b w_port) s.ports);
-          ("CHAN", payload_of (fun b -> Codec.W.array b w_chan) s.chans);
-          ( "COMP",
-            let b = Codec.W.create () in
-            Codec.W.array b w_proc s.procs;
-            Codec.W.array b w_mem s.mems;
-            Codec.W.array b w_bus s.buses;
-            Codec.W.contents b );
-        ]
-      in
-      container sections)
-  | 2 -> v2_slif_to_string ?provenance s
-  | v -> invalid_arg (Printf.sprintf "Store.slif_to_string: unknown format version %d" v)
+(* Directory of an in-memory container, with its fetch function. *)
+let string_directory text =
+  let fetch = string_fetch text in
+  let* dir = directory ~total:(String.length text) fetch in
+  Ok (fetch, dir)
 
 let slif_of_string text =
-  let* version = container_version text in
-  if version = format_version_v2 then
-    let fetch = string_fetch text in
-    let* entries = v2_directory ~total:(String.length text) fetch in
-    v2_decode_slif ~fetch entries
-  else
-    let* _version, sections = split text in
-    let* meta = find_section sections "META" in
-    let* kind, design_name = decode_meta meta in
-    match kind with
-    | Kdecision -> Error (Decode "container holds a decision, not a SLIF")
-    | Kslif ->
-        let* prov =
-          match List.assoc_opt "PROV" sections with
-          | None -> Ok no_provenance
-          | Some payload -> decode_prov payload
-        in
-        let* node_p = find_section sections "NODE" in
-        let* nodes = decode_payload "NODE" node_p (fun r -> Codec.R.array r r_node) in
-        let* port_p = find_section sections "PORT" in
-        let* ports = decode_payload "PORT" port_p (fun r -> Codec.R.array r r_port) in
-        let* chan_p = find_section sections "CHAN" in
-        let* chans = decode_payload "CHAN" chan_p (fun r -> Codec.R.array r r_chan) in
-        let* comp_p = find_section sections "COMP" in
-        let* procs, mems, buses =
-          decode_payload "COMP" comp_p (fun r ->
-              let procs = Codec.R.array r r_proc in
-              let mems = Codec.R.array r r_mem in
-              let buses = Codec.R.array r r_bus in
-              (procs, mems, buses))
-        in
-        Ok ({ design_name; nodes; ports; chans; procs; mems; buses }, prov)
+  let* fetch, dir = string_directory text in
+  decode_slif ~fetch dir
 
 (* --- Decisions ------------------------------------------------------------- *)
 
@@ -736,25 +603,22 @@ let decision_to_string ?note part =
       chans;
     Codec.W.contents b
   in
-  container
-    [ ("META", meta_payload ~kind:Kdecision ~design:s.design_name); ("DECN", decn) ]
+  container [ ("META", meta_payload Kdecision s); ("DECN", decn) ]
 
 let decision_of_string (s : t) text =
-  let* _version, sections = split text in
-  let* meta = find_section sections "META" in
-  let* kind, design_name = decode_meta meta in
-  match kind with
+  let* fetch, ((_, entries) as dir) = string_directory text in
+  let* meta = read_meta ~fetch dir in
+  match meta.vm_kind with
   | Kslif -> Error (Decode "container holds a SLIF, not a decision")
   | Kdecision ->
-      if design_name <> s.design_name then
+      if meta.vm_design <> s.design_name then
         Error
           (Decode
-             (Printf.sprintf "decision recorded for design %S, not %S" design_name
+             (Printf.sprintf "decision recorded for design %S, not %S" meta.vm_design
                 s.design_name))
       else
-        let* decn = find_section sections "DECN" in
         let* note, maps, chans =
-          decode_payload "DECN" decn (fun r ->
+          decode_section ~fetch entries "DECN" (fun r ->
               let note = Codec.R.option r Codec.R.str in
               let maps =
                 Codec.R.list r (fun r ->
@@ -864,18 +728,7 @@ let load_slif ~path =
 
 let save_decision ~path ?note part = write_file path (decision_to_string ?note part)
 
-let load_decision s ~path =
-  let* text = read_file path in
-  decision_of_string s text
-
 (* --- Inspection ------------------------------------------------------------ *)
-
-type section_info = {
-  sec_tag : string;
-  sec_offset : int;  (* byte offset of the payload within the container *)
-  sec_size : int;
-  sec_crc : int32;
-}
 
 type info = {
   si_version : int;
@@ -885,64 +738,15 @@ type info = {
   si_provenance : provenance option;
 }
 
-(* Payload offsets of a v1 container; the caller has already run [split],
-   so the framing is known to be well-formed. *)
-let v1_section_table text =
-  let len = String.length text in
-  let rec go pos acc =
-    if pos >= len then List.rev acc
-    else
-      let sec_tag = String.sub text pos 4 in
-      let plen = u32_le text (pos + 4) in
-      let sec_crc = Int32.of_int (u32_le text (pos + 8)) in
-      go
-        (pos + 12 + plen)
-        ({ sec_tag; sec_offset = pos + 12; sec_size = plen; sec_crc } :: acc)
-  in
-  go 12 []
-
 let inspect text =
-  let* version = container_version text in
-  if version = format_version_v2 then begin
-    let fetch = string_fetch text in
-    let* entries = v2_directory ~total:(String.length text) fetch in
-    let* meta_p = v2_section ~fetch entries "META" in
-    let* meta = v2_decode_meta meta_p in
-    let* si_provenance =
-      match List.find_opt (fun e -> e.v2_tag = "PROV") entries with
-      | None -> Ok None
-      | Some _ ->
-          let* p = v2_section ~fetch entries "PROV" in
-          let* p = decode_prov p in
-          Ok (Some p)
-    in
-    Ok
-      {
-        si_version = version;
-        si_kind = meta.vm_kind;
-        si_design = meta.vm_design;
-        si_sections =
-          List.map
-            (fun e ->
-              {
-                sec_tag = e.v2_tag;
-                sec_offset = e.v2_off;
-                sec_size = e.v2_len;
-                sec_crc = e.v2_crc;
-              })
-            entries;
-        si_provenance;
-      }
-  end
-  else
-    let* si_version, sections = split text in
-    let* meta = find_section sections "META" in
-    let* si_kind, si_design = decode_meta meta in
-    let* si_provenance =
-      match List.assoc_opt "PROV" sections with
-      | None -> Ok None
-      | Some payload ->
-          let* p = decode_prov payload in
-          Ok (Some p)
-    in
-    Ok { si_version; si_kind; si_design; si_sections = v1_section_table text; si_provenance }
+  let* fetch, ((si_version, si_sections) as dir) = string_directory text in
+  let* meta = read_meta ~fetch dir in
+  let* si_provenance = read_prov ~fetch si_sections in
+  Ok
+    {
+      si_version;
+      si_kind = meta.vm_kind;
+      si_design = meta.vm_design;
+      si_sections;
+      si_provenance;
+    }

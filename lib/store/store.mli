@@ -8,22 +8,25 @@
     re-parsing or re-annotating anything.  The same container also
     carries recorded partition decisions ([slif partition --save]).
 
-    Layout (v1): an 8-byte magic, a 4-byte little-endian format version,
-    then a sequence of sections, each [4-byte tag | 4-byte LE payload
-    length | 4-byte LE CRC-32 of the payload | payload].  Payloads use
-    {!Codec}.
-
-    Layout (v2): the same magic/version prelude, then a CRC-guarded
-    section {e directory} — [u32 count], [count] entries of [tag(4) |
-    u64 payload offset | u64 payload length | u32 payload CRC-32], a
-    [u32] CRC of the directory bytes — followed by the payloads.  The
-    directory makes a v2 container lazily decodable: a reader (or an
-    [Unix.map_file] mapping, see {!Lazy_store}) can verify the directory
-    alone, answer metadata queries from META (which carries object counts
-    and a decoded-heap estimate in v2), and decode individual sections on
-    demand, checking each payload CRC only when that payload is read.
-    v2 NODE weights reference an interned TECH string table instead of
+    Layout (v2, the only format written): an 8-byte magic, a 4-byte
+    little-endian format version, then a CRC-guarded section
+    {e directory} — [u32 count], [count] entries of [tag(4) | u64
+    payload offset | u64 payload length | u32 payload CRC-32], a [u32]
+    CRC of the directory bytes — followed by the payloads.  Payloads use
+    {!Codec}.  The directory makes a container lazily decodable: a
+    reader (or an [Unix.map_file] mapping, see {!Lazy_store}) can verify
+    the directory alone, answer metadata queries from META (object
+    counts and a decoded-heap estimate), and decode individual sections
+    on demand, checking each payload CRC only when that payload is read.
+    NODE weights reference an interned TECH string table instead of
     repeating technology names per node.
+
+    Legacy v1 containers are read, never written: the same 12-byte
+    prelude, then sections back-to-back as [tag(4) | u32 payload length
+    | u32 payload CRC-32 | payload]; META stops after the tool name and
+    NODE weights name their technology inline.  The eager decoders
+    ({!slif_of_string}, {!decision_of_string}, {!inspect}) turn either
+    framing into the same section table; {!Lazy_store} serves v2 only.
 
     Decoding is total: any byte sequence either decodes or yields a typed
     {!error} — never an exception escaping this module's [_of_string]
@@ -32,7 +35,9 @@
 type error =
   | Io of string  (** file could not be read/written (carries the OS message) *)
   | Bad_magic  (** the file does not start with {!magic} *)
-  | Unsupported_version of int  (** written by a newer format revision *)
+  | Unsupported_version of int
+      (** written by a newer format revision, or a legacy one the reader
+          cannot serve (v1 into {!Lazy_store}) *)
   | Truncated of string  (** input ended inside the named structure *)
   | Checksum_mismatch of string  (** the named section's CRC-32 does not match *)
   | Decode of string  (** structurally invalid payload *)
@@ -48,15 +53,9 @@ val magic : string
 (** ["SLIFSTOR"], 8 bytes. *)
 
 val format_version : int
-(** The default {e write} format (1 — the content-addressed cache and the
-    golden corpus are pinned to its bytes); readers accept every version
-    up to {!max_format_version} and reject newer ones with
-    {!Unsupported_version} rather than misdecode. *)
-
-val format_version_v2 : int
-(** The offset-indexed, lazily decodable format (2). *)
-
-val max_format_version : int
+(** The format every writer produces (2).  Readers accept it and legacy
+    v1, and reject newer versions with {!Unsupported_version} rather
+    than misdecode. *)
 
 (** Where an annotated SLIF came from — enough to decide whether a cached
     store file still matches its inputs. *)
@@ -71,14 +70,13 @@ val no_provenance : provenance
 (** {2 Annotated SLIF bundles} *)
 
 val slif_to_string : ?version:int -> ?provenance:provenance -> Slif.Types.t -> string
-(** [version] is {!format_version} (1) by default or {!format_version_v2};
-    anything else raises [Invalid_argument]. *)
+(** [version], if given, must be {!format_version}; anything else raises
+    [Invalid_argument]. *)
 
 val slif_of_string : string -> (Slif.Types.t * provenance, error) result
-(** Exact inverse of {!slif_to_string} for either format version (the
-    container's version field decides): every float comes back with the
-    identical bit pattern, so estimates computed from the loaded SLIF
-    equal the originals to the bit. *)
+(** Exact inverse of {!slif_to_string} (and decodes legacy v1 too):
+    every float comes back with the identical bit pattern, so estimates
+    computed from the loaded SLIF equal the originals to the bit. *)
 
 val save_slif :
   path:string -> ?version:int -> ?provenance:provenance -> Slif.Types.t -> unit
@@ -101,12 +99,12 @@ val decision_of_string :
     a SLIF-kind container yield [Decode]. *)
 
 val save_decision : path:string -> ?note:string -> Slif.Partition.t -> unit
-val load_decision : Slif.Types.t -> path:string -> (Slif.Partition.t * string option, error) result
 
 (** {2 Inspection (the [slif store info] subcommand)} *)
 
 type kind = Kslif | Kdecision
 
+(** One entry of a container's section table, whichever framing. *)
 type section_info = {
   sec_tag : string;
   sec_offset : int;  (** byte offset of the payload within the container *)
@@ -124,20 +122,18 @@ type info = {
 
 val inspect : string -> (info, error) result
 (** Checks magic and version, validates the container's integrity
-    metadata (every v1 section checksum; the v2 directory checksum), and
+    metadata (the v2 directory checksum; every v1 section checksum), and
     decodes the metadata — without rebuilding the graph. *)
 
 val read_file : string -> (string, error) result
 (** Slurp a file, mapping I/O failures to [Io]. *)
 
-(** {2 v2 internals shared with {!Lazy_store}} *)
+(** {2 Internals shared with {!Lazy_store}} *)
 
-type v2_entry = { v2_tag : string; v2_off : int; v2_len : int; v2_crc : int32 }
-
-type v2_meta = {
+type meta = {
   vm_kind : kind;
   vm_design : string;
-  vm_nodes : int;
+  vm_nodes : int;  (** object counts: zero in a v1 container *)
   vm_ports : int;
   vm_chans : int;
   vm_procs : int;
@@ -148,26 +144,25 @@ type v2_meta = {
           number admission control compares against [--max-graph-mb] *)
 }
 
-val v2_directory :
-  total:int -> (pos:int -> len:int -> string) -> (v2_entry list, error) result
-(** Parse and CRC-verify a v2 section directory through a byte-range
-    fetch callback ([String.sub] over a loaded container, or a copy out
-    of an [Unix.map_file] mapping); entries are bounds-checked against
-    [total]. *)
+val directory :
+  total:int -> (pos:int -> len:int -> string) -> (int * section_info list, error) result
+(** The container's format version and section table, read through a
+    byte-range fetch callback ([String.sub] over a loaded container, or
+    a copy out of an [Unix.map_file] mapping).  v2: the CRC-verified
+    directory, every entry bounds-checked against [total].  v1: the
+    walked section headers, every payload CRC checked. *)
 
-val v2_section :
-  fetch:(pos:int -> len:int -> string) -> v2_entry list -> string -> (string, error) result
+val section :
+  fetch:(pos:int -> len:int -> string) -> section_info list -> string -> (string, error) result
 (** Fetch one section's payload and verify its CRC — the per-section
     lazy integrity check. *)
 
-val v2_decode_meta : string -> (v2_meta, error) result
+val read_meta :
+  fetch:(pos:int -> len:int -> string) -> int * section_info list -> (meta, error) result
 
-val decode_prov : string -> (provenance, error) result
-(** Decode a PROV payload (shared with {!Lazy_store}). *)
-
-val v2_decode_slif :
+val decode_slif :
   fetch:(pos:int -> len:int -> string) ->
-  v2_entry list ->
+  int * section_info list ->
   (Slif.Types.t * provenance, error) result
-(** Full decode out of a v2 directory (eager path and {!Lazy_store}'s
-    on-demand path share this). *)
+(** Full decode out of a section table (the eager path and
+    {!Lazy_store}'s on-demand path share this). *)

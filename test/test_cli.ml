@@ -54,12 +54,15 @@ let test_dump_and_reload () =
     Alcotest.(check bool) "reload finds volmain" true (contains "volmain" text)
   end
 
-let test_save_load_decision () =
+let test_decision_save_then_load () =
   if not (Lazy.force available) then ()
   else begin
     let tmp = Filename.temp_file "slif" ".decision" in
     let code, _ = run_cli (Printf.sprintf "partition vol -a greedy --save %s" tmp) in
     Alcotest.(check int) "save exit" 0 code;
+    let code, info = run_cli (Printf.sprintf "store info %s" tmp) in
+    Alcotest.(check int) "info exit" 0 code;
+    Alcotest.(check bool) "decision written as v2" true (contains "format:  v2" info);
     let code, text = run_cli (Printf.sprintf "partition vol --load %s" tmp) in
     Sys.remove tmp;
     Alcotest.(check int) "load exit" 0 code;
@@ -237,8 +240,27 @@ let test_store_write_info () =
         List.iter
           (fun needle ->
             Alcotest.(check bool) ("info mentions " ^ needle) true (contains needle text))
-          [ "volmeter"; "NODE"; "CHAN"; "format:" ])
+          [ "volmeter"; "NODE"; "CHAN"; "TECH"; "format:  v2" ])
   end
+
+(* A graph container is not a decision: [--load] says so instead of
+   misreporting the format version. *)
+let test_load_rejects_slif_store () =
+  if not (Lazy.force available) then ()
+  else begin
+    let out = Filename.temp_file "slif_cli" ".slifstore" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove out)
+      (fun () ->
+        let code, _ = run_cli (Printf.sprintf "synth --nodes 200 -o %s" out) in
+        Alcotest.(check int) "synth exit" 0 code;
+        check_one_line_failure "partition --load on a graph store"
+          (Printf.sprintf "partition vol --load %s" out)
+          "holds a SLIF, not a decision")
+  end
+
+let test_synth_format_flag_gone () =
+  check_one_line_failure "synth --format" "synth --nodes 200 --format 1" "unknown option"
 
 (* Legacy text decisions (pre-store format) must still replay. *)
 let test_load_legacy_text_decision () =
@@ -297,7 +319,7 @@ let suite =
     Alcotest.test_case "estimate --bounds" `Slow test_estimate_bounds;
     Alcotest.test_case "partition greedy" `Slow test_partition_greedy;
     Alcotest.test_case "dump-spec round-trips" `Slow test_dump_and_reload;
-    Alcotest.test_case "decision save/load" `Slow test_save_load_decision;
+    Alcotest.test_case "decision save/load" `Slow test_decision_save_then_load;
     Alcotest.test_case "--trace/--metrics export" `Slow test_obs_flags;
     Alcotest.test_case "explore -j differential" `Slow test_explore_jobs_differential;
     Alcotest.test_case "explore -j 0 rejected" `Slow test_explore_rejects_bad_jobs;
@@ -307,6 +329,9 @@ let suite =
     Alcotest.test_case "unreadable cache dir diagnostic" `Slow test_unreadable_cache_dir;
     Alcotest.test_case "malformed store file diagnostic" `Slow test_malformed_store_file;
     Alcotest.test_case "store write + info" `Slow test_store_write_info;
+    Alcotest.test_case "partition --load rejects a graph store" `Slow
+      test_load_rejects_slif_store;
+    Alcotest.test_case "synth --format rejected" `Slow test_synth_format_flag_gone;
     Alcotest.test_case "legacy text decision replays" `Slow test_load_legacy_text_decision;
     Alcotest.test_case "golden decision replay" `Slow test_golden_decision_replay;
     Alcotest.test_case "figure4 -j" `Slow test_figure4_jobs;

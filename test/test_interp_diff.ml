@@ -127,7 +127,7 @@ let profile_seeds =
 let annotated_bytes ~profile sem =
   let slif = Slif.Build.build ~profile sem in
   let slif = Slif.Annotate.run ~profile ~techs:Tech.Parts.all sem slif in
-  Slif_store.Store.slif_to_string ~version:2 (Slif.Graph.slif (Slif.Graph.make slif))
+  Slif_store.Store.slif_to_string (Slif.Graph.slif (Slif.Graph.make slif))
 
 let spec_sems =
   lazy

@@ -646,7 +646,7 @@ let test_store_target () =
       Slif_obs.Registry.reset ();
       try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Slif_store.Store.save_slif ~path ~version:Slif_store.Store.format_version_v2 slif;
+      Slif_store.Store.save_slif ~path slif;
       let decodes () = Slif_obs.Counter.get "store.lazy.full_decode" in
       with_server
         ~config:(fun c -> { c with Server.max_graph_mb = Some 1 })
@@ -713,15 +713,59 @@ let test_store_refresh () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Slif_store.Store.save_slif ~path ~version:Slif_store.Store.format_version_v2 first;
+      Slif_store.Store.save_slif ~path first;
       with_server (fun _port client ->
           let estimate () =
             output_exn client [ ("op", Json.String "estimate"); ("store", Json.String path) ]
           in
           Alcotest.(check string) "serves the first graph" out_first (estimate ());
-          Slif_store.Store.save_slif ~path ~version:Slif_store.Store.format_version_v2
-            second;
+          Slif_store.Store.save_slif ~path second;
           Alcotest.(check string) "serves the regenerated graph" out_second (estimate ())))
+
+(* A legacy v1 store is refused with the rewrite hint, on [load] and on
+   a compute op alike, and the connection keeps serving; the file
+   [slif store write] produces in its place loads lazily. *)
+let test_store_v1_refused () =
+  let v1 = "golden/vol_v1.slifstore" in
+  with_server (fun _port client ->
+      List.iter
+        (fun op ->
+          let raw =
+            Client.request_raw client
+              (Json.to_string (Json.Obj [ ("op", Json.String op); ("store", Json.String v1) ]))
+          in
+          match Json.parse raw with
+          | Ok json -> (
+              (match Json.member "ok" json with
+              | Some (Json.Bool false) -> ()
+              | _ -> Alcotest.failf "%s on a v1 store accepted: %s" op raw);
+              match Json.member "error" json with
+              | Some (Json.String msg) ->
+                  Alcotest.(check string)
+                    (op ^ " error says to rewrite the file")
+                    (Slif_store.Store.error_message (Slif_store.Store.Unsupported_version 1))
+                    msg
+              | _ -> Alcotest.failf "%s refusal carries no error: %s" op raw)
+          | Error msg -> Alcotest.failf "unparseable refusal: %s" msg)
+        [ "load"; "estimate" ];
+      ignore
+        (output_exn client [ ("op", Json.String "estimate"); ("spec", Json.String "vol") ]);
+      if Sys.file_exists cli then begin
+        let out = Filename.temp_file "slif_rewritten" ".slifstore" in
+        Fun.protect
+          ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+          (fun () ->
+            let code =
+              Sys.command (Printf.sprintf "%s store write vol -o %s > /dev/null" cli out)
+            in
+            Alcotest.(check int) "store write exit" 0 code;
+            let resp =
+              request_exn client [ ("op", Json.String "load"); ("store", Json.String out) ]
+            in
+            match Json.member "lazy" resp with
+            | Some (Json.Bool true) -> ()
+            | _ -> Alcotest.fail "rewritten store does not load lazily")
+      end)
 
 (* --- line cap ----------------------------------------------------------------- *)
 
@@ -838,7 +882,7 @@ let test_flight_retention () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Slif_store.Store.save_slif ~path ~version:Slif_store.Store.format_version_v2 slif;
+      Slif_store.Store.save_slif ~path slif;
       with_server
         ~config:(fun c -> { c with Server.slow_ms = Some 0.0 })
         (fun _port client ->
@@ -1015,6 +1059,8 @@ let suite =
       test_store_target;
     Alcotest.test_case "store target: regenerated file served fresh" `Quick
       test_store_refresh;
+    Alcotest.test_case "store target: v1 refused with a rewrite hint" `Quick
+      test_store_v1_refused;
     Alcotest.test_case "line cap earns a protocol error" `Quick test_line_cap;
     Alcotest.test_case "SIGUSR1 dumps telemetry" `Slow test_sigusr1_dump;
     Alcotest.test_case "tail retention keeps the cross-domain tree" `Slow

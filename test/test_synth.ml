@@ -32,15 +32,11 @@ let test_deterministic_across_jobs () =
             (Printf.sprintf "%s: -j %d identical to serial" name jobs)
             true
             (Slif.Types.equal serial parallel);
-          (* Byte-identical store containers, both formats. *)
+          (* Byte-identical store containers. *)
           Alcotest.(check string)
-            (Printf.sprintf "%s: -j %d v1 bytes identical" name jobs)
+            (Printf.sprintf "%s: -j %d store bytes identical" name jobs)
             (Store.slif_to_string serial)
-            (Store.slif_to_string parallel);
-          Alcotest.(check string)
-            (Printf.sprintf "%s: -j %d v2 bytes identical" name jobs)
-            (Store.slif_to_string ~version:Store.format_version_v2 serial)
-            (Store.slif_to_string ~version:Store.format_version_v2 parallel))
+            (Store.slif_to_string parallel))
         [ 2; 5 ])
     (Lazy.force all_family_params)
 
@@ -150,7 +146,7 @@ let test_store_roundtrip_estimates () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Store.save_slif ~path ~version:Store.format_version_v2 s;
+      Store.save_slif ~path s;
       let h =
         match Slif_store.Lazy_store.open_file path with
         | Ok h -> h
