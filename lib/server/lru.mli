@@ -1,88 +1,45 @@
-(** Small least-recently-used cache for resident annotated SLIFs.
+(** The daemon's resident set: a small, domain-safe least-recently-used
+    cache of annotated SLIFs.
 
     The daemon keeps hot graphs in memory keyed by their content hash
-    ({!Slif_store.Cache.key}); capacity bounds the resident set so a
-    stream of distinct specs cannot grow the heap without limit.
-    Eviction scans for the oldest stamp — O(capacity), which is single
-    digits here, so no linked-list bookkeeping. *)
+    ({!Slif_store.Cache.key}), so a query costs an annotation lookup, not
+    a rebuild; capacity bounds the resident set so a stream of distinct
+    specs cannot grow the heap without limit.  The cache is fully
+    associative: any [capacity] distinct keys stay resident together, and
+    eviction always drops the globally least recently used entry.
+
+    One {!Slif_obs.Lockprof} lock guards the stamp table, so any number of
+    worker domains may share a cache; the lock covers a hashtable probe
+    (plus, on an insert into a full cache, an O(capacity) scan for the
+    oldest stamp — capacity is single digits here, so no linked-list
+    bookkeeping).  Hit and miss counts are mutated under the same lock,
+    so they are exact however many domains use the cache. *)
 
 type 'a t
 
-val create : capacity:int -> 'a t
-(** Raises [Invalid_argument] when [capacity < 1]. *)
-
-val capacity : 'a t -> int
-val size : 'a t -> int
+val create : name:string -> capacity:int -> 'a t
+(** [create ~name ~capacity] — [name] labels the cache's profiled lock
+    (the daemon's resident set is ["server.lru"]).  Raises
+    [Invalid_argument] when [capacity < 1]. *)
 
 val find : 'a t -> string -> 'a option
-(** Refreshes the entry's recency on a hit. *)
+(** Refreshes the entry's recency on a hit; counts a hit or a miss. *)
 
 val add : 'a t -> string -> 'a -> unit
 (** Inserts (or refreshes) the binding, evicting the least recently used
     entry when full. *)
 
 val remove : 'a t -> string -> unit
-(** Drops the binding if present; a no-op otherwise. *)
+(** Drops the binding if present; a no-op otherwise.  Counts neither a
+    hit nor a miss. *)
 
-val keys : 'a t -> string list
-(** Resident keys, most recently used first. *)
+type stats = {
+  size : int;
+  capacity : int;
+  hits : int;
+  misses : int;
+  keys : string list;  (** most recently used first *)
+}
 
-(** Domain-safe sharded wrapper — the multi-worker daemon's resident
-    set.
-
-    Keys route to a shard by a deterministic hash of the key bytes;
-    each shard is an independent plain {!t} guarded by its own
-    {!Slif_obs.Lockprof} lock ([server.lru.<i>]), so concurrent workers
-    only contend when their keys collide on a shard — there is no
-    global lock.  Eviction, touch and re-insert semantics within a
-    shard are exactly the plain cache's; a shard never evicts another
-    shard's entries.  Per-shard hit/miss counters are mutated under the
-    shard lock, so totals are exact however many domains hammer the
-    cache. *)
-module Sharded : sig
-  type 'a t
-
-  val create : ?shards:int -> capacity:int -> unit -> 'a t
-  (** [create ~shards ~capacity ()] (default 8 shards) splits [capacity]
-      over the shards, rounding up so every shard holds at least one
-      entry — {!capacity} reports the rounded total, [>=] the request.
-      Raises [Invalid_argument] when [shards < 1] or [capacity < 1]. *)
-
-  val shards : 'a t -> int
-  val capacity : 'a t -> int
-  val size : 'a t -> int
-
-  val shard_of_key : 'a t -> string -> int
-  (** The shard a key routes to — a pure function of the key bytes,
-      stable for the cache's whole life. *)
-
-  val find : 'a t -> string -> 'a option
-  (** Refreshes recency within the key's shard on a hit; counts a hit
-      or a miss. *)
-
-  val add : 'a t -> string -> 'a -> unit
-  (** Inserts (or refreshes) the binding in the key's shard, evicting
-      that shard's least recently used entry when it is full. *)
-
-  val remove : 'a t -> string -> unit
-  (** Drops the binding from its shard if present; a no-op otherwise.
-      Counts neither a hit nor a miss. *)
-
-  val keys : 'a t -> string list
-  (** Resident keys, grouped by shard (ascending), most recently used
-      first within each shard. *)
-
-  val hits : 'a t -> int
-  val misses : 'a t -> int
-
-  type shard_stat = {
-    sh_index : int;
-    sh_size : int;
-    sh_capacity : int;
-    sh_hits : int;
-    sh_misses : int;
-  }
-
-  val shard_stats : 'a t -> shard_stat list
-  (** One entry per shard, ascending index. *)
-end
+val stats : 'a t -> stats
+(** One consistent reading of the cache, taken under its lock. *)

@@ -8,7 +8,6 @@ type config = {
   addr : addr;
   cache_dir : string option;
   lru_capacity : int;
-  lru_shards : int;
   workers : int;
   jobs : int;
   max_requests : int option;
@@ -34,7 +33,6 @@ let default_config addr =
     addr;
     cache_dir = None;
     lru_capacity = 8;
-    lru_shards = 8;
     workers = 1;
     jobs = 1;
     max_requests = None;
@@ -136,7 +134,7 @@ type retained = {
 
 type state = {
   cfg : config;
-  lru : Slif.Types.t Lru.Sharded.t;
+  lru : Slif.Types.t Lru.t;
   sh : shared;
   started_us : float;
   mutable served : int;
@@ -148,6 +146,7 @@ type state = {
   mutable dropped_responses : int;
   mutable rejected_conns : int;
   worker_served : int array;  (** per-worker completions, drained single-threaded *)
+  batch_items : (string, int) Hashtbl.t;  (** batch items executed, by op *)
   queue_wait : Obs.Histogram.t;
   mutable last_error : string option;
   lat : (string, op_lat) Hashtbl.t;
@@ -159,17 +158,17 @@ type state = {
   mutable stop : bool;
 }
 
-(* The execution environment workers see: configuration, the sharded
-   resident set, and the open store-file handles — no acceptor-owned
-   mutable accounting.  Handles are keyed by path and shared across
-   workers; a [Lazy_store.t] is domain-safe, so the cache's mutex only
-   guards the cache itself.  The cache is a bounded LRU: a stream of
-   distinct store paths evicts the least recently used handle (its
-   mapping is reclaimed once unreferenced) instead of growing a table
-   without limit. *)
+(* The execution environment workers see: configuration, the resident
+   set, and the open store-file handles — no acceptor-owned mutable
+   accounting.  Handles are keyed by path and shared across workers; a
+   [Lazy_store.t] is domain-safe and an {!Lru} locks itself, so
+   [x_stores_lock] only makes the revalidate-then-reopen sequence one
+   step.  The handle cache is bounded: a stream of distinct store paths
+   evicts the least recently used handle (its mapping is reclaimed once
+   unreferenced) instead of growing a table without limit. *)
 type exec_env = {
   x_cfg : config;
-  x_lru : Slif.Types.t Lru.Sharded.t;
+  x_lru : Slif.Types.t Lru.t;
   x_stores : Slif_store.Lazy_store.t Lru.t;
   x_stores_lock : Mutex.t;
 }
@@ -182,12 +181,6 @@ let store_handle_capacity = 64
    error response) — admission-control rejections, which clients
    dispatch on without parsing the message. *)
 exception Typed_error of string * string
-
-(* Process-wide labeled families (per-worker requests, batch items by
-   op); the [stats] op reports daemon-local exact figures from [state]
-   instead, since families outlive any one daemon in a test process. *)
-let worker_family () = Obs.Family.create "server.worker.requests" ~label:"worker"
-let batch_family () = Obs.Family.create "server.batch.items" ~label:"op"
 
 let record_latency st op dur_us =
   let l =
@@ -209,7 +202,9 @@ let note_error st msg =
 (* Acceptor-side accounting for one executed request or batch item. *)
 let account st (a : acct) =
   if a.a_wire then st.served <- st.served + 1
-  else Obs.Family.incr (batch_family ()) a.a_op;
+  else
+    Hashtbl.replace st.batch_items a.a_op
+      (1 + Option.value ~default:0 (Hashtbl.find_opt st.batch_items a.a_op));
   Obs.Counter.incr ("server.request." ^ a.a_op);
   record_latency st a.a_op a.a_dur_us;
   match a.a_err with Some msg -> note_error st msg | None -> ()
@@ -252,7 +247,7 @@ let store_handle env path =
       | Some _ ->
           Obs.Counter.incr "server.store.reopen";
           Lru.remove env.x_stores path;
-          Lru.Sharded.remove env.x_lru (stored_key path);
+          Lru.remove env.x_lru (stored_key path);
           reopen ()
       | None -> reopen ())
 
@@ -272,18 +267,14 @@ let check_graph_budget env ~path ~bytes =
                mb ))
   | Some _ | None -> ()
 
-(* LRU shard ops as black-box instants: a retained trace shows whether
-   the request hit the resident set or paid a decode/rebuild. *)
-let lru_hit () =
-  Obs.Counter.incr "server.lru_hit";
-  Obs.Flight.record_event "server.lru.hit"
-
-let lru_miss () =
-  Obs.Counter.incr "server.lru_miss";
-  Obs.Flight.record_event "server.lru.miss"
+(* Resident-set lookups as black-box instants: a retained trace shows
+   whether the request hit the resident set or paid a decode/rebuild.
+   The hit/miss totals live in the {!Lru} itself. *)
+let lru_hit () = Obs.Flight.record_event "server.lru.hit"
+let lru_miss () = Obs.Flight.record_event "server.lru.miss"
 
 (* Resolve a request target to (content key, annotated SLIF), going
-   through the sharded LRU and, below it, the on-disk cache.  Two
+   through the resident set and, below it, the on-disk cache.  Two
    workers missing on the same key concurrently both build it; the
    second [add] refreshes the first — graphs are immutable, so the
    duplicate work is idempotent and briefly-doubled, never wrong. *)
@@ -300,7 +291,7 @@ let resolve env target profile =
           | Error _ as e -> e
           | Ok h -> (
               let key = stored_key path in
-              match Lru.Sharded.find env.x_lru key with
+              match Lru.find env.x_lru key with
               | Some slif ->
                   lru_hit ();
                   Ok (key, slif)
@@ -314,10 +305,10 @@ let resolve env target profile =
                   with
                   | Error err -> Error (Slif_store.Store.error_message err)
                   | Ok (slif, _prov) ->
-                      Lru.Sharded.add env.x_lru key slif;
+                      Lru.add env.x_lru key slif;
                       Ok (key, slif)))))
   | Protocol.Key key -> (
-      match Lru.Sharded.find env.x_lru key with
+      match Lru.find env.x_lru key with
       | Some slif ->
           lru_hit ();
           Ok (key, slif)
@@ -335,7 +326,7 @@ let resolve env target profile =
       | Error _ as e -> e
       | Ok source -> (
           let key = Slif_store.Cache.key ~source ?profile () in
-          match Lru.Sharded.find env.x_lru key with
+          match Lru.find env.x_lru key with
           | Some slif ->
               lru_hit ();
               Ok (key, slif)
@@ -346,7 +337,7 @@ let resolve env target profile =
                     Ops.annotated ?cache_dir:env.x_cfg.cache_dir ?profile_text:profile
                       source)
               in
-              Lru.Sharded.add env.x_lru key slif;
+              Lru.add env.x_lru key slif;
               Ok (key, slif)))
 
 (* --- Telemetry snapshot ------------------------------------------------------ *)
@@ -391,8 +382,9 @@ let telemetry st : Telemetry.t =
     select_idle_us = st.select_idle_us;
     loop_iterations = st.loop_iters;
     queue_wait = quantiles_and_sum st.queue_wait;
-    lru_keys = Lru.Sharded.keys st.lru;
-    lru_shards = Lru.Sharded.shard_stats st.lru;
+    batch_items =
+      List.sort compare (List.of_seq (Hashtbl.to_seq st.batch_items));
+    lru = Lru.stats st.lru;
     gc = Obs.Gcprof.counts ();
     gc_heap_words = Obs.Gcprof.heap_words ();
     gc_per_domain = Obs.Gcprof.per_domain ();
@@ -403,13 +395,6 @@ let telemetry st : Telemetry.t =
     dump_bytes = st.dump_bytes;
     locks =
       List.filter (fun (s : Obs.Lockprof.stat) -> s.acquisitions > 0) (Obs.Lockprof.all ());
-    families =
-      List.filter_map
-        (fun f ->
-          match Obs.Family.snapshot f with
-          | [] -> None
-          | series -> Some (Obs.Family.name f, Obs.Family.label f, series))
-        (Obs.Family.all ());
     counters = Obs.Counter.snapshot ();
     histograms = Obs.Histogram.snapshot_full ();
   }
@@ -714,7 +699,6 @@ let wake sh =
    Workers never touch acceptor-owned accounting — it rides back on the
    completion. *)
 let worker_loop sh env w =
-  let fam = worker_family () in
   let rec go () =
     Obs.Lockprof.lock sh.jq_lock;
     while Queue.is_empty sh.jq && not sh.jq_stop do
@@ -754,7 +738,6 @@ let worker_loop sh env w =
         | Resp (_, []) | Control _ -> ());
         out
       in
-      Obs.Family.incr fam (string_of_int w);
       Obs.Lockprof.with_lock sh.cq_lock (fun () ->
           Queue.add
             {
@@ -900,9 +883,9 @@ let rec flush_ready st c =
       end;
       flush_ready st c
 
-(* An acceptor-generated response (line cap, connection limit) still
-   takes a sequence number, so it interleaves correctly with whatever
-   the connection already has in flight. *)
+(* An acceptor-generated response (the line cap) still takes a
+   sequence number, so it interleaves correctly with whatever the
+   connection already has in flight. *)
 let local_response st c resp =
   let seq = c.next_seq in
   c.next_seq <- seq + 1;
@@ -1055,6 +1038,34 @@ let drain_completions st conns =
           st.dropped_responses <- st.dropped_responses + 1)
     comps
 
+(* [Unix.select] takes fd_set bitmaps, which only hold descriptors
+   below FD_SETSIZE: one numbered higher makes the whole call fail with
+   EINVAL.  On Unix a [file_descr] is the descriptor number. *)
+let fd_setsize = 1024
+
+(* Why a just-accepted connection must not be served, if it must not:
+   over [--max-connections], or a descriptor [select] cannot watch. *)
+let refusal st fd =
+  match st.cfg.max_connections with
+  | Some cap when st.inflight >= cap ->
+      Some (Printf.sprintf "connection limit reached (%d)" cap)
+  | Some _ | None ->
+      if (Obj.magic (fd : Unix.file_descr) : int) >= fd_setsize then
+        Some
+          (Printf.sprintf "connection limit reached (%d descriptors in use)" fd_setsize)
+      else None
+
+(* Refuse at accept: the typed error goes straight to the fresh socket
+   (its send buffer is empty, so one short write lands) and the
+   descriptor closes before it can reach [select]. *)
+let refuse st fd msg =
+  st.rejected_conns <- st.rejected_conns + 1;
+  Obs.Counter.incr "server.conn_rejected";
+  let line = Protocol.error ~kind:"connection_limit" msg ^ "\n" in
+  (try ignore (Unix.write_substring fd line 0 (String.length line))
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
 (* SIGUSR1 just raises a flag; the loop notices on its next wake-up (the
    signal interrupts a pending select with EINTR, so the dump is prompt)
    and writes the telemetry dump outside the handler. *)
@@ -1123,7 +1134,7 @@ let run ?on_ready cfg =
   let st =
     {
       cfg;
-      lru = Lru.Sharded.create ~shards:cfg.lru_shards ~capacity:cfg.lru_capacity ();
+      lru = Lru.create ~name:"server.lru" ~capacity:cfg.lru_capacity;
       sh;
       started_us = Obs.Clock.now_us ();
       served = 0;
@@ -1135,6 +1146,7 @@ let run ?on_ready cfg =
       dropped_responses = 0;
       rejected_conns = 0;
       worker_served = Array.make workers 0;
+      batch_items = Hashtbl.create 8;
       queue_wait = Obs.Histogram.create ();
       last_error = None;
       lat = Hashtbl.create 8;
@@ -1150,7 +1162,7 @@ let run ?on_ready cfg =
     {
       x_cfg = cfg;
       x_lru = st.lru;
-      x_stores = Lru.create ~capacity:store_handle_capacity;
+      x_stores = Lru.create ~name:"server.stores" ~capacity:store_handle_capacity;
       x_stores_lock = Mutex.create ();
     }
   in
@@ -1240,33 +1252,26 @@ let run ?on_ready cfg =
         end;
         if List.memq listen_fd readable then begin
           match Unix.accept listen_fd with
-          | fd, _ ->
-              incr next_cid;
-              st.inflight <- st.inflight + 1;
-              let c =
-                {
-                  fd;
-                  cid = !next_cid;
-                  rbuf = Buffer.create 1024;
-                  out = Buffer.create 1024;
-                  out_off = 0;
-                  close_after_flush = false;
-                  dropping = false;
-                  next_seq = 0;
-                  next_flush = 0;
-                  pending = Hashtbl.create 8;
-                }
-              in
-              conns := c :: !conns;
-              (match cfg.max_connections with
-              | Some cap when st.inflight > cap ->
-                  st.rejected_conns <- st.rejected_conns + 1;
-                  Obs.Counter.incr "server.conn_rejected";
-                  local_response st c
-                    (Protocol.error
-                       (Printf.sprintf "connection limit reached (%d)" cap));
-                  c.close_after_flush <- true
-              | _ -> ())
+          | fd, _ -> (
+              match refusal st fd with
+              | Some msg -> refuse st fd msg
+              | None ->
+                  incr next_cid;
+                  st.inflight <- st.inflight + 1;
+                  conns :=
+                    {
+                      fd;
+                      cid = !next_cid;
+                      rbuf = Buffer.create 1024;
+                      out = Buffer.create 1024;
+                      out_off = 0;
+                      close_after_flush = false;
+                      dropping = false;
+                      next_seq = 0;
+                      next_flush = 0;
+                      pending = Hashtbl.create 8;
+                    }
+                    :: !conns)
           | exception Unix.Unix_error _ -> ()
         end;
         List.iter

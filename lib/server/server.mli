@@ -4,8 +4,9 @@
     accepts connections, frames newline-delimited JSON request lines and
     writes responses — and dispatches every framed line to a fixed pool
     of worker domains over a condition-parked job queue.  Workers
-    execute requests against the shared sharded {!Lru} (content-hash
-    keyed, one lock per shard) and push completions back through a queue
+    execute requests against the shared resident set, one {!Lru}
+    (content-hash keyed, fully associative, one lock) and push
+    completions back through a queue
     plus a self-pipe that wakes the acceptor's select.  Each connection
     carries sequence numbers and a reorder buffer, so responses hit the
     wire in request order no matter which worker finishes first; control
@@ -19,8 +20,12 @@
     protocol error before the connection is closed; a reader whose
     unwritten responses exceed {!field-config.max_outq_bytes} is sent
     one [slow reader] protocol error and disconnected instead of growing
-    the heap; {!field-config.max_connections} bounds concurrent clients;
-    and the loop survives client disconnects mid-request.  On shutdown
+    the heap; {!field-config.max_connections} bounds concurrent clients,
+    and a connection whose descriptor [select] cannot watch (numbered at
+    or above FD_SETSIZE, 1024) is refused the same way — a typed
+    [connection_limit] error written at accept, then a close — instead of
+    taking the loop down; and the loop survives client disconnects
+    mid-request.  On shutdown
     (the [shutdown] op or {!field-config.max_requests}) in-flight
     requests drain and their responses flush before the sockets close.
 
@@ -29,10 +34,10 @@
     on the worker that executes it, so the [server.request.<op>] span
     and every {!Slif_obs.Event} line emitted while serving it share the
     id.  Per-op latency is recorded in always-on lifetime histograms
-    plus a sliding window; per-worker requests and batch items feed
-    {!Slif_obs.Family} counters, per-shard LRU hit/miss/occupancy and
-    queue depth/wait are exported by [stats] and [metrics] regardless of
-    the registry switch.  Requests slower than [slow_ms] are logged to
+    plus a sliding window; per-worker requests, batch items by op, LRU
+    hits/misses/occupancy and queue depth/wait are daemon-local tallies
+    exported by [stats] and [metrics] regardless of the registry
+    switch.  Requests slower than [slow_ms] are logged to
     stderr and the event log at [Warn]; [SIGUSR1] dumps the live
     telemetry to stderr without stopping the loop.
 
@@ -53,8 +58,7 @@ type addr =
 type config = {
   addr : addr;
   cache_dir : string option;  (** persist annotated graphs here too *)
-  lru_capacity : int;
-  lru_shards : int;  (** shards of the resident set (locks scale with this) *)
+  lru_capacity : int;  (** annotated graphs kept resident *)
   workers : int;  (** worker domains executing requests (min 1) *)
   jobs : int;  (** domain-pool width for [explore] requests without their own ["jobs"] *)
   max_requests : int option;  (** stop after this many requests (soak/smoke harnesses) *)
@@ -67,13 +71,13 @@ type config = {
       (** unread response bytes per connection before the slow reader is
           disconnected with a protocol error *)
   max_connections : int option;
-      (** concurrent connections; extras get an error response and a close *)
+      (** concurrent connections; extras get a [connection_limit] error
+          and a close *)
   max_graph_mb : int option;
       (** admission control for store-file targets: reject (typed error
           kind ["graph_too_large"]) any load whose decoded graph would
-          exceed this many megabytes — META's decoded-heap estimate for
-          a v2 container, the file size for a v1 one.  Metadata-only
-          [load]s of v2 containers are always admitted: they decode
+          exceed this many megabytes — META's decoded-heap estimate.
+          Metadata-only [load]s are always admitted: they decode
           nothing. *)
   retain_traces : int;
       (** how many slow/error span trees the tail-based retention keeps
@@ -92,7 +96,7 @@ val default_max_outq_bytes : int
 (** 32 MB. *)
 
 val default_config : addr -> config
-(** lru_capacity 8 over 8 shards, 1 worker, jobs 1, no cache dir, no
+(** lru_capacity 8, 1 worker, jobs 1, no cache dir, no
     request limit, no slow-log, 64 MB line cap, 4096 batch items, 32 MB
     outq cap, unlimited connections, no graph budget, 32 retained
     traces, no trace dir. *)

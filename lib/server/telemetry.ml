@@ -2,9 +2,9 @@
 
    The acceptor builds a [t] once per telemetry request
    ([Server.telemetry]) — the only code that reads the daemon state, the
-   GC and pool totals, the flight rings, the LRU shards and the profiled
-   locks.  Every view here is a pure function of the snapshot: the
-   [stats] and [health] response fields, the [metrics] Prometheus
+   GC and pool totals, the flight rings, the resident set and the
+   profiled locks.  Every view here is a pure function of the snapshot:
+   the [stats] and [health] response fields, the [metrics] Prometheus
    document, the flight block of [stats]/[dump], and the SIGUSR1 text
    dump. *)
 
@@ -30,14 +30,14 @@ type t = {
   queue_depth : int;
   jobs_inflight : int;
   per_worker : int list;  (** completions by worker index *)
+  batch_items : (string * int) list;  (** batch items executed, by op, ascending *)
   outq_overflows : int;
   dropped_responses : int;
   rejected_connections : int;
   select_idle_us : float;
   loop_iterations : int;
   queue_wait : (Obs.Histogram.quantiles * float) option;  (** [None] before any job *)
-  lru_keys : string list;
-  lru_shards : Lru.Sharded.shard_stat list;
+  lru : Lru.stats;
   gc : Obs.Gcprof.counts;
   gc_heap_words : int;
   gc_per_domain : (int * Obs.Gcprof.counts) list;
@@ -47,8 +47,6 @@ type t = {
   retained_live : int;
   dump_bytes : int;
   locks : Obs.Lockprof.stat list;  (** profiled locks that were acquired *)
-  families : (string * string * (string * int) list) list;
-      (** non-empty labeled families: name, label key, series *)
   counters : (string * int) list;
   histograms : (string * Obs.Histogram.summary * Obs.Histogram.quantiles) list;
 }
@@ -56,14 +54,6 @@ type t = {
 let sum_rings pick t = List.fold_left (fun acc r -> acc + pick r) 0 t.rings
 let flight_records = sum_rings (fun (r : Obs.Flight.ring_stat) -> r.rs_records)
 let flight_dropped = sum_rings (fun (r : Obs.Flight.ring_stat) -> r.rs_dropped)
-
-let sum_shards pick t =
-  List.fold_left (fun acc (s : Lru.Sharded.shard_stat) -> acc + pick s) 0 t.lru_shards
-
-let lru_size = sum_shards (fun s -> s.sh_size)
-let lru_capacity = sum_shards (fun s -> s.sh_capacity)
-let lru_hits = sum_shards (fun s -> s.sh_hits)
-let lru_misses = sum_shards (fun s -> s.sh_misses)
 
 let served_ops t =
   List.map (fun o -> (o.op, (fst o.lifetime).Obs.Histogram.q_count)) t.ops
@@ -133,26 +123,12 @@ let stats t =
     ( "lru",
       J.Obj
         [
-          ("size", J.Int (lru_size t));
-          ("capacity", J.Int (lru_capacity t));
-          ("hits", J.Int (lru_hits t));
-          ("misses", J.Int (lru_misses t));
-          ("keys", J.List (List.map (fun k -> J.String k) t.lru_keys));
-          ( "shards",
-            J.List
-              (List.map
-                 (fun (s : Lru.Sharded.shard_stat) ->
-                   J.Obj
-                     [
-                       ("shard", J.Int s.sh_index);
-                       ("size", J.Int s.sh_size);
-                       ("capacity", J.Int s.sh_capacity);
-                       ("hits", J.Int s.sh_hits);
-                       ("misses", J.Int s.sh_misses);
-                     ])
-                 t.lru_shards) );
+          ("size", J.Int t.lru.size);
+          ("capacity", J.Int t.lru.capacity);
+          ("hits", J.Int t.lru.hits);
+          ("misses", J.Int t.lru.misses);
+          ("keys", J.List (List.map (fun k -> J.String k) t.lru.keys));
         ] );
-    (* Daemon-local exact figures (the Family counters are process-wide). *)
     ( "server",
       J.Obj
         [
@@ -194,7 +170,7 @@ let health t =
     ("errors", J.Int t.errors);
     ("workers", J.Int t.workers);
     ("queue_depth", J.Int t.queue_depth);
-    ("lru", J.Obj [ ("size", J.Int (lru_size t)); ("capacity", J.Int (lru_capacity t)) ]);
+    ("lru", J.Obj [ ("size", J.Int t.lru.size); ("capacity", J.Int t.lru.capacity) ]);
     ( "gc",
       J.Obj
         [
@@ -224,9 +200,6 @@ let metrics t =
   let per_ring pick =
     by "domain" (fun (r : Obs.Flight.ring_stat) -> string_of_int r.rs_dom) pick t.rings
   in
-  let per_shard pick =
-    by "shard" (fun (s : Lru.Sharded.shard_stat) -> string_of_int s.sh_index) pick t.lru_shards
-  in
   let per_lock pick = by "lock" (fun (s : Obs.Lockprof.stat) -> s.s_name) pick t.locks in
   let op_series pick =
     List.map
@@ -246,8 +219,8 @@ let metrics t =
        counter "slif_server_errors_total" "Requests answered with an error."
          (one (num t.errors));
        gauge "slif_server_lru_entries" "Annotated graphs resident in the LRU."
-         (one (num (lru_size t)));
-       gauge "slif_server_lru_capacity" "LRU capacity." (one (num (lru_capacity t)));
+         (one (num t.lru.size));
+       gauge "slif_server_lru_capacity" "LRU capacity." (one (num t.lru.capacity));
        summary "slif_server_request_duration_microseconds"
          "Lifetime per-op request latency (log-bucket quantiles)."
          (op_series (fun o -> o.lifetime));
@@ -291,12 +264,11 @@ let metrics t =
         counter "slif_flight_dump_bytes_total"
           "Bytes of flight-window dumps written (dump op and SIGQUIT)."
           (one (num t.dump_bytes));
-        gauge "slif_server_lru_shard_entries" "Resident graphs, by LRU shard."
-          (per_shard (fun s -> num s.sh_size));
-        counter "slif_server_lru_shard_hits_total" "Cache hits, by LRU shard."
-          (per_shard (fun s -> num s.sh_hits));
-        counter "slif_server_lru_shard_misses_total" "Cache misses, by LRU shard."
-          (per_shard (fun s -> num s.sh_misses));
+        counter "slif_server_lru_hits_total" "Lookups answered by the resident set."
+          (one (num t.lru.hits));
+        counter "slif_server_lru_misses_total"
+          "Lookups that missed the resident set (decode or rebuild)."
+          (one (num t.lru.misses));
         counter "slif_server_select_idle_seconds_total"
           "Time the acceptor spent parked in select with nothing to do."
           (one (t.select_idle_us /. 1e6));
@@ -346,15 +318,14 @@ let metrics t =
                   ([ ("lock", s.s_name) ], s.hold_quantiles, s.hold_us.sum))
                 t.locks);
          ])
-    (* Every labeled family (per-worker requests, batch items by op, and
-       whatever future subsystems register) exports generically. *)
-    @ List.map
-        (fun (name, label, series) ->
-          counter
-            ("slif_" ^ P.sanitize_name name ^ "_total")
-            (Printf.sprintf "Family %s, by %s." name label)
-            (by label fst (fun (_, n) -> num n) series))
-        t.families
+    @ [
+        counter "slif_server_batch_items_total" "Batch items executed by this daemon, by op."
+          (by "op" fst (fun (_, n) -> num n) t.batch_items);
+        counter "slif_server_worker_requests_total"
+          "Request lines executed by this daemon, by worker."
+          (by "worker" fst (fun (_, n) -> num n)
+             (List.mapi (fun w n -> (string_of_int w, n)) t.per_worker));
+      ]
     @ List.map
         (fun (name, v) ->
           counter
@@ -382,7 +353,7 @@ let dump t =
      workers:  %d (queue %d, jobs inflight %d)\n\
      lru:      %d/%d (hits %d, misses %d)\n"
     t.uptime_s t.served t.errors t.inflight t.workers t.queue_depth t.jobs_inflight
-    (lru_size t) (lru_capacity t) (lru_hits t) (lru_misses t);
+    t.lru.size t.lru.capacity t.lru.hits t.lru.misses;
   Option.iter (Printf.bprintf b "last_error: %s\n") t.last_error;
   Printf.bprintf b
     "flight:   %d records (%d dropped), %d traces retained (%d live), %d dump bytes\n"

@@ -262,6 +262,13 @@ let test_load_rejects_slif_store () =
 let test_synth_format_flag_gone () =
   check_one_line_failure "synth --format" "synth --nodes 200 --format 1" "unknown option"
 
+(* The resident set is one LRU; the socket path's directory does not
+   exist, so a binary that still took the flag would fail to bind, not
+   hang serving. *)
+let test_serve_shard_flag_gone () =
+  check_one_line_failure "serve --lru-shards"
+    "serve --socket /no/such/dir/slif.sock --lru-shards 4" "unknown option"
+
 (* Legacy text decisions (pre-store format) must still replay. *)
 let test_load_legacy_text_decision () =
   if not (Lazy.force available) then ()
@@ -332,6 +339,7 @@ let suite =
     Alcotest.test_case "partition --load rejects a graph store" `Slow
       test_load_rejects_slif_store;
     Alcotest.test_case "synth --format rejected" `Slow test_synth_format_flag_gone;
+    Alcotest.test_case "serve --lru-shards rejected" `Slow test_serve_shard_flag_gone;
     Alcotest.test_case "legacy text decision replays" `Slow test_load_legacy_text_decision;
     Alcotest.test_case "golden decision replay" `Slow test_golden_decision_replay;
     Alcotest.test_case "figure4 -j" `Slow test_figure4_jobs;

@@ -12,7 +12,7 @@ module Json = Slif_obs.Json
 (* --- LRU ------------------------------------------------------------------- *)
 
 let test_lru_basics () =
-  let l = Lru.create ~capacity:2 in
+  let l = Lru.create ~name:"test.lru" ~capacity:2 in
   Lru.add l "a" 1;
   Lru.add l "b" 2;
   Alcotest.(check (option int)) "find a" (Some 1) (Lru.find l "a");
@@ -21,18 +21,23 @@ let test_lru_basics () =
   Alcotest.(check (option int)) "b evicted" None (Lru.find l "b");
   Alcotest.(check (option int)) "a kept" (Some 1) (Lru.find l "a");
   Alcotest.(check (option int)) "c kept" (Some 3) (Lru.find l "c");
-  Alcotest.(check int) "size" 2 (Lru.size l);
-  Alcotest.(check (list string)) "keys MRU-first" [ "c"; "a" ] (Lru.keys l)
+  Alcotest.(check int) "size" 2 (Lru.stats l).size;
+  Alcotest.(check (list string)) "keys MRU-first" [ "c"; "a" ] (Lru.stats l).keys;
+  (* [remove] counts neither a hit nor a miss. *)
+  Lru.remove l "c";
+  let s = Lru.stats l in
+  Alcotest.(check (pair int int)) "hits, misses" (3, 1) (s.hits, s.misses);
+  Alcotest.(check (list string)) "stats keys" [ "a" ] s.keys
 
 let test_lru_replace () =
-  let l = Lru.create ~capacity:2 in
+  let l = Lru.create ~name:"test.lru" ~capacity:2 in
   Lru.add l "a" 1;
   Lru.add l "a" 2;
   Alcotest.(check (option int)) "replaced" (Some 2) (Lru.find l "a");
-  Alcotest.(check int) "no duplicate" 1 (Lru.size l)
+  Alcotest.(check int) "no duplicate" 1 (Lru.stats l).size
 
 let test_lru_bad_capacity () =
-  match Lru.create ~capacity:0 with
+  match Lru.create ~name:"test.lru" ~capacity:0 with
   | _ -> Alcotest.fail "capacity 0 accepted"
   | exception Invalid_argument _ -> ()
 
@@ -338,7 +343,7 @@ let test_cli_daemon_smoke () =
 (* --- LRU eviction order under touch / re-insert ----------------------------- *)
 
 let test_lru_touch_reinsert_order () =
-  let l = Lru.create ~capacity:3 in
+  let l = Lru.create ~name:"test.lru" ~capacity:3 in
   Lru.add l "a" 1;
   Lru.add l "b" 2;
   Lru.add l "c" 3;
@@ -347,17 +352,17 @@ let test_lru_touch_reinsert_order () =
   ignore (Lru.find l "b");
   Lru.add l "d" 4;
   Alcotest.(check (option int)) "c evicted" None (Lru.find l "c");
-  Alcotest.(check (list string)) "order after touches" [ "d"; "b"; "a" ] (Lru.keys l);
+  Alcotest.(check (list string)) "order after touches" [ "d"; "b"; "a" ] (Lru.stats l).keys;
   (* Re-inserting an existing key refreshes it without growing. *)
   Lru.add l "a" 10;
-  Alcotest.(check (list string)) "re-insert is a touch" [ "a"; "d"; "b" ] (Lru.keys l);
+  Alcotest.(check (list string)) "re-insert is a touch" [ "a"; "d"; "b" ] (Lru.stats l).keys;
   Lru.add l "e" 5;
   Alcotest.(check (option int)) "b evicted next" None (Lru.find l "b");
   Alcotest.(check (option int)) "re-inserted value kept" (Some 10) (Lru.find l "a");
-  Alcotest.(check int) "size capped" 3 (Lru.size l)
+  Alcotest.(check int) "size capped" 3 (Lru.stats l).size
 
 let test_lru_capacity_one () =
-  let l = Lru.create ~capacity:1 in
+  let l = Lru.create ~name:"test.lru" ~capacity:1 in
   Lru.add l "a" 1;
   Alcotest.(check (option int)) "sole entry" (Some 1) (Lru.find l "a");
   Lru.add l "b" 2;
@@ -365,7 +370,7 @@ let test_lru_capacity_one () =
   Alcotest.(check (option int)) "newcomer resident" (Some 2) (Lru.find l "b");
   Lru.add l "b" 3;
   Alcotest.(check (option int)) "replace in place" (Some 3) (Lru.find l "b");
-  Alcotest.(check int) "never grows" 1 (Lru.size l)
+  Alcotest.(check int) "never grows" 1 (Lru.stats l).size
 
 (* --- health / metrics ops ---------------------------------------------------- *)
 
