@@ -715,7 +715,7 @@ let serve_cmd =
   in
   let lru =
     Arg.(value & opt int 8
-         & info [ "lru" ] ~docv:"N" ~doc:"Keep at most $(docv) annotated graphs resident.")
+         & info [ "lru" ] ~docv:"N" ~doc:"Keep at most $(docv) graphs resident.")
   in
   let workers =
     Arg.(value & opt int 1
@@ -749,9 +749,10 @@ let serve_cmd =
   let max_graph_mb =
     Arg.(value & opt (some int) None
          & info [ "max-graph-mb" ] ~docv:"MB"
-             ~doc:"Reject store-file loads whose decoded graph would exceed $(docv) \
-                   megabytes (typed error kind \"graph_too_large\"); metadata-only \
-                   loads of v2 containers are always admitted.")
+             ~doc:"Reject store-file loads whose resident graph (the decoded SLIF and \
+                   the graph queries run on) would exceed $(docv) megabytes (typed \
+                   error kind \"graph_too_large\"); metadata-only loads of v2 \
+                   containers are always admitted.")
   in
   let max_requests =
     Arg.(value & opt (some int) None

@@ -211,6 +211,12 @@ let make (s : Types.t) =
     bus_td_default;
   }
 
+(* Node kind byte plus four offset rows per node; eight channel cells
+   plus one out- and at most one in-row entry per channel; a tech id and
+   a value per weight entry.  The component tables are a few hundred
+   bytes and left out. *)
+let bytes_estimate ~nodes ~chans ~weights = (33 * nodes) + (80 * chans) + (16 * weights)
+
 let comp_tech_id t = function
   | Partition.Cproc p -> t.proc_tech.(p)
   | Partition.Cmem m -> t.mem_tech.(m)

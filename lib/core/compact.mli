@@ -9,9 +9,10 @@
     - channels as parallel arrays (source, destination code, bits, tag,
       kind, and the three access-frequency weights);
     - adjacency as CSR rows ([out_off]/[out_chan] and [in_off]/[in_chan]),
-      channel ids ascending within a row — the exact order of the
-      [Graph.out_chans] lists, so float summation order (and therefore
-      every estimate, to the last bit) is unchanged;
+      channel ids ascending within a row — the order of the per-node
+      channel record lists the estimators first summed over, so float
+      summation order (and therefore every estimate, to the last bit) is
+      unchanged;
     - technology names interned to dense ids, with per-node ict/size
       weight rows and per-bus transfer-time matrices pre-resolved against
       the interned table, replacing [List.assoc] on the innermost loop.
@@ -67,6 +68,12 @@ val kind_message : int
 val make : Types.t -> t
 (** One O(nodes + channels + weight entries) pass; no further allocation
     is needed to answer adjacency or weight queries. *)
+
+val bytes_estimate : nodes:int -> chans:int -> weights:int -> int
+(** The heap bytes {!make} allocates for a graph of that many nodes,
+    channels and per-node weight entries (ict and size rows together) —
+    exact for the arrays, up to their headers and the per-component
+    tables. *)
 
 val comp_tech_id : t -> Partition.comp -> int
 (** Interned technology of a component (always present: every processor

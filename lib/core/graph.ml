@@ -1,43 +1,12 @@
-(* The compact struct-of-arrays mirror is the primary representation:
-   every adjacency query below reads CSR rows.  The per-node channel
-   *record* lists survive for callers that want them ([out_chans]), but
-   are materialized lazily — a million-node graph whose consumers stay on
-   the compact arrays never pays for the cons cells. *)
-type t = {
-  slif : Types.t;
-  compact : Compact.t;
-  out_ : Types.channel list array Lazy.t;   (* by source node id *)
-  in_ : Types.channel list array Lazy.t;    (* by destination node id *)
-}
+(* The compact struct-of-arrays mirror is the one representation: every
+   adjacency query below reads its CSR rows.  A [t] holds no lazy or
+   mutable field, so worker domains may share one built graph. *)
+type t = { slif : Types.t; compact : Compact.t }
 
-let make (s : Types.t) =
-  let n = Array.length s.nodes in
-  let lists () =
-    let out_ = Array.make n [] in
-    let in_ = Array.make n [] in
-    (* Iterate in reverse so the per-node lists end up in channel order. *)
-    for i = Array.length s.chans - 1 downto 0 do
-      let c = s.chans.(i) in
-      out_.(c.c_src) <- c :: out_.(c.c_src);
-      match c.c_dst with
-      | Types.Dnode d -> in_.(d) <- c :: in_.(d)
-      | Types.Dport _ -> ()
-    done;
-    (out_, in_)
-  in
-  let adj = Lazy.from_fun lists in
-  {
-    slif = s;
-    compact = Compact.make s;
-    out_ = lazy (fst (Lazy.force adj));
-    in_ = lazy (snd (Lazy.force adj));
-  }
+let make (s : Types.t) = { slif = s; compact = Compact.make s }
 
 let slif t = t.slif
 let compact t = t.compact
-
-let out_chans t id = (Lazy.force t.out_).(id)
-let in_chans t id = (Lazy.force t.in_).(id)
 
 let dedup ids = List.sort_uniq compare ids
 

@@ -1,7 +1,13 @@
 (** Adjacency queries over a SLIF access graph.
 
-    Precomputes per-node outgoing/incoming channel lists so that the
-    estimators' GetBehChans is O(out-degree) (paper, Section 3.1). *)
+    {!make} builds the {!Compact} CSR rows once, so the estimators'
+    GetBehChans(b) is a walk of [b]'s [out_off]/[out_chan] row,
+    O(out-degree) (paper, Section 3.1).
+
+    A [t] is immutable once built: it holds no lazy or mutable field, and
+    nothing writes to its arrays, so any number of domains may query one
+    graph at once (the daemon shares each resident graph between its
+    workers). *)
 
 type t
 
@@ -12,12 +18,6 @@ val slif : t -> Types.t
 val compact : t -> Compact.t
 (** The struct-of-arrays mirror built by {!make} — the representation the
     estimation and engine hot paths index instead of the record lists. *)
-
-val out_chans : t -> int -> Types.channel list
-(** Channels whose source is the given behavior node — GetBehChans(b). *)
-
-val in_chans : t -> int -> Types.channel list
-(** Channels whose destination is the given node. *)
 
 val callers : t -> int -> int list
 (** Source nodes of incoming [Call] channels, deduplicated. *)

@@ -171,6 +171,13 @@ let record t v =
 let count t = t.t_count
 let sum t = t.t_sum
 
+let merge_into ~into t =
+  into.t_count <- into.t_count + t.t_count;
+  into.t_sum <- into.t_sum +. t.t_sum;
+  if t.t_min < into.t_min then into.t_min <- t.t_min;
+  if t.t_max > into.t_max then into.t_max <- t.t_max;
+  Array.iteri (fun i n -> into.t_buckets.(i) <- into.t_buckets.(i) + n) t.t_buckets
+
 let clear t =
   t.t_count <- 0;
   t.t_sum <- 0.0;

@@ -55,6 +55,10 @@ val count : t -> int
 
 val sum : t -> float
 
+val merge_into : into:t -> t -> unit
+(** Add every observation of the second histogram to [into] (counts,
+    sum, extremes and buckets); the second is left as it was. *)
+
 val clear : t -> unit
 (** Zero the histogram in place (count, sum, extremes, buckets). *)
 

@@ -14,26 +14,54 @@ type t = {
   mutable acquired_at : float;
 }
 
+(* Live locks, plus the folded counts of released ones, one entry per
+   name: a lock created per pool or per daemon leaves [locks] when it is
+   released, so the registry stays as large as the set of names. *)
 let locks_mu = Mutex.create ()
 let locks : t list ref = ref []
+let retired : (string, t) Hashtbl.t = Hashtbl.create 8
+
+let fresh ~category name =
+  {
+    name;
+    category;
+    mu = Mutex.create ();
+    wait = Histogram.create ();
+    hold = Histogram.create ();
+    acquisitions = 0;
+    contended = 0;
+    acquired_at = Float.nan;
+  }
 
 let create ?(category = Attribution.Lock_wait) name =
-  let t =
-    {
-      name;
-      category;
-      mu = Mutex.create ();
-      wait = Histogram.create ();
-      hold = Histogram.create ();
-      acquisitions = 0;
-      contended = 0;
-      acquired_at = Float.nan;
-    }
-  in
+  let t = fresh ~category name in
   Mutex.lock locks_mu;
   locks := t :: !locks;
   Mutex.unlock locks_mu;
   t
+
+let fold_into ~into t =
+  into.acquisitions <- into.acquisitions + t.acquisitions;
+  into.contended <- into.contended + t.contended;
+  Histogram.merge_into ~into:into.wait t.wait;
+  Histogram.merge_into ~into:into.hold t.hold
+
+(* The per-name total of [t]'s name in [tbl], created empty on first use. *)
+let total_for tbl t =
+  match Hashtbl.find_opt tbl t.name with
+  | Some total -> total
+  | None ->
+      let total = fresh ~category:t.category t.name in
+      Hashtbl.add tbl t.name total;
+      total
+
+let release t =
+  Mutex.lock locks_mu;
+  if List.memq t !locks then begin
+    locks := List.filter (fun l -> l != t) !locks;
+    fold_into ~into:(total_for retired t) t
+  end;
+  Mutex.unlock locks_mu
 
 let name t = t.name
 let mutex t = t.mu
@@ -117,13 +145,18 @@ let stats t =
 
 let all () =
   Mutex.lock locks_mu;
-  let ls = !locks in
+  let by_name = Hashtbl.create 16 in
+  let add t = fold_into ~into:(total_for by_name t) t in
+  List.iter add !locks;
+  Hashtbl.iter (fun _ t -> add t) retired;
   Mutex.unlock locks_mu;
-  List.map stats ls |> List.sort (fun a b -> compare a.s_name b.s_name)
+  Hashtbl.fold (fun _ t acc -> stats t :: acc) by_name []
+  |> List.sort (fun a b -> compare a.s_name b.s_name)
 
 let reset () =
   Mutex.lock locks_mu;
   let ls = !locks in
+  Hashtbl.reset retired;
   Mutex.unlock locks_mu;
   List.iter
     (fun (t : t) ->

@@ -26,6 +26,14 @@ val create : ?category:Attribution.category -> string -> t
     {!Attribution.Lock_wait}) is where acquisition waits are charged;
     the pool's queue lock passes {!Attribution.Queue_wait}. *)
 
+val release : t -> unit
+(** [release t] retires a lock that is done with: its counts and
+    histograms fold into its name's total and it leaves the registry, so
+    a process that creates a lock per pool or per daemon does not grow
+    the registry without bound.  Call it once nothing holds or will take
+    the lock again (later acquisitions are not counted); releasing twice
+    is a no-op. *)
+
 val name : t -> string
 
 val mutex : t -> Mutex.t
@@ -68,8 +76,10 @@ type stat = {
 val stats : t -> stat
 
 val all : unit -> stat list
-(** Every registered lock's stats, sorted by name. *)
+(** One entry per lock name, sorted by name: the live locks of that
+    name and every released one, summed. *)
 
 val reset : unit -> unit
-(** Zero every lock's counters and histograms.  Only meaningful at a
+(** Zero every live lock's counters and histograms and drop the released
+    totals.  Only meaningful at a
     quiescent point (no lock held or contended). *)

@@ -58,6 +58,8 @@ let add t key value =
 
 let remove t key = locked t (fun () -> Hashtbl.remove t.tbl key)
 
+let release t = Slif_obs.Lockprof.release t.lock
+
 type stats = { size : int; capacity : int; hits : int; misses : int; keys : string list }
 
 let stats t =

@@ -63,9 +63,10 @@ let build_stats_output (slif : Slif.Types.t) =
     slif.Slif.Types.nodes;
   Buffer.contents buf
 
-let estimate_output ?(bounds = false) slif =
-  let s = apply_proc_asic slif in
-  let graph = Slif.Graph.make s in
+let proc_asic_graph slif = Slif.Graph.make (apply_proc_asic slif)
+
+let estimate_of_graph ?(bounds = false) graph =
+  let s = Slif.Graph.slif graph in
   let part = Specsyn.Search.seed_partition s in
   let est = Specsyn.Search.estimator graph part in
   let buf = Buffer.create 1024 in
@@ -97,9 +98,9 @@ let estimate_output ?(bounds = false) slif =
   end;
   Buffer.contents buf
 
-let partition_output ~algo ~constraints slif =
-  let s = apply_proc_asic slif in
-  let graph = Slif.Graph.make s in
+let estimate_output ?bounds slif = estimate_of_graph ?bounds (proc_asic_graph slif)
+
+let partition_of_graph ~algo ~constraints graph =
   let problem = Specsyn.Search.problem ~constraints graph in
   let solution = run_algo algo problem in
   let est = Specsyn.Search.estimator graph solution.Specsyn.Search.part in
@@ -110,6 +111,9 @@ let partition_output ~algo ~constraints slif =
   in
   ( header ^ "\n" ^ Specsyn.Report.partition_report ~constraints est ^ "\n",
     solution.Specsyn.Search.part )
+
+let partition_output ~algo ~constraints slif =
+  partition_of_graph ~algo ~constraints (proc_asic_graph slif)
 
 let partition_report_for ~constraints s part =
   let graph = Slif.Graph.make s in

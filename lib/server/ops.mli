@@ -34,17 +34,32 @@ val constraints_of_deadlines : (string * float) list -> Specsyn.Cost.constraints
 val build_stats_output : Slif.Types.t -> string
 (** The default [slif build] listing: stats line plus one row per node. *)
 
-val estimate_output : ?bounds:bool -> Slif.Types.t -> string
+val proc_asic_graph : Slif.Types.t -> Slif.Graph.t
+(** The graph every estimate and partition query runs on: the SLIF under
+    {!apply_proc_asic}.  The daemon builds it once per resident graph. *)
+
+val estimate_of_graph : ?bounds:bool -> Slif.Graph.t -> string
 (** The [slif estimate [--bounds]] report on the all-software seed
-    partition of the processor+ASIC architecture. *)
+    partition of a {!proc_asic_graph}.  Reads the graph only, so domains
+    may run it on one shared graph at once. *)
+
+val estimate_output : ?bounds:bool -> Slif.Types.t -> string
+(** [estimate_of_graph ?bounds (proc_asic_graph slif)]. *)
+
+val partition_of_graph :
+  algo:Specsyn.Explore.algo ->
+  constraints:Specsyn.Cost.constraints ->
+  Slif.Graph.t ->
+  string * Slif.Partition.t
+(** The [slif partition] header + report on a {!proc_asic_graph}, and
+    the winning partition (the CLI's [--save] persists it). *)
 
 val partition_output :
   algo:Specsyn.Explore.algo ->
   constraints:Specsyn.Cost.constraints ->
   Slif.Types.t ->
   string * Slif.Partition.t
-(** The [slif partition] header + report, and the winning partition (the
-    CLI's [--save] persists it). *)
+(** [partition_of_graph ~algo ~constraints (proc_asic_graph slif)]. *)
 
 val partition_report_for :
   constraints:Specsyn.Cost.constraints -> Slif.Types.t -> Slif.Partition.t -> string

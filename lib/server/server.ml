@@ -132,9 +132,23 @@ type retained = {
   rt_file : string option;
 }
 
+(* A resident-set entry, built once when the graph is admitted and
+   immutable after: the annotated SLIF ([load], [explore]), the
+   processor+ASIC graph every [estimate] and [partition] runs on, and the
+   all-software estimate report.  [estimate] takes no partition, so that
+   report is a property of the graph: the first request computes it and
+   publishes it through the atomic (workers racing on a cold entry
+   compute identical bytes, and either write wins).  It dies with the
+   entry, so a regenerated store file is answered fresh. *)
+type resident = {
+  r_slif : Slif.Types.t;
+  r_graph : Slif.Graph.t;
+  r_estimate : string option Atomic.t;
+}
+
 type state = {
   cfg : config;
-  lru : Slif.Types.t Lru.t;
+  lru : resident Lru.t;
   sh : shared;
   started_us : float;
   mutable served : int;
@@ -168,7 +182,7 @@ type state = {
    unreferenced) instead of growing a table without limit. *)
 type exec_env = {
   x_cfg : config;
-  x_lru : Slif.Types.t Lru.t;
+  x_lru : resident Lru.t;
   x_stores : Slif_store.Lazy_store.t Lru.t;
   x_stores_lock : Mutex.t;
 }
@@ -251,9 +265,9 @@ let store_handle env path =
           reopen ()
       | None -> reopen ())
 
-(* Admission control: decode nothing whose decoded form would not fit
-   the [--max-graph-mb] budget.  [bytes] is META's decoded-heap
-   estimate. *)
+(* Admission control: decode nothing whose resident form would not fit
+   the [--max-graph-mb] budget.  [bytes] is read from META alone: its
+   decoded-heap estimate plus the graph built over it. *)
 let check_graph_budget env ~path ~bytes =
   match env.x_cfg.max_graph_mb with
   | Some mb when bytes > mb * 1024 * 1024 ->
@@ -261,7 +275,7 @@ let check_graph_budget env ~path ~bytes =
         (Typed_error
            ( "graph_too_large",
              Printf.sprintf
-               "%s: decoded graph needs ~%d MB, over the --max-graph-mb budget (%d MB)"
+               "%s: resident graph needs ~%d MB, over the --max-graph-mb budget (%d MB)"
                path
                ((bytes + (1024 * 1024) - 1) / (1024 * 1024))
                mb ))
@@ -273,10 +287,28 @@ let check_graph_budget env ~path ~bytes =
 let lru_hit () = Obs.Flight.record_event "server.lru.hit"
 let lru_miss () = Obs.Flight.record_event "server.lru.miss"
 
-(* Resolve a request target to (content key, annotated SLIF), going
+(* Admission: the one place a resident graph is built. *)
+let admit slif =
+  Obs.Span.with_ "server.resident.build" (fun () ->
+      { r_slif = slif; r_graph = Ops.proc_asic_graph slif; r_estimate = Atomic.make None })
+
+(* The all-software estimate by lookup.  A retained trace carries the
+   [memo_hit] instant on a lookup; without it, the request computed the
+   report. *)
+let memo_estimate r =
+  match Atomic.get r.r_estimate with
+  | Some output ->
+      Obs.Flight.record_event "server.estimate.memo_hit";
+      output
+  | None ->
+      let output = Ops.estimate_of_graph r.r_graph in
+      Atomic.set r.r_estimate (Some output);
+      output
+
+(* Resolve a request target to (content key, resident graph), going
    through the resident set and, below it, the on-disk cache.  Two
    workers missing on the same key concurrently both build it; the
-   second [add] refreshes the first — graphs are immutable, so the
+   second [add] refreshes the first — residents are immutable, so the
    duplicate work is idempotent and briefly-doubled, never wrong. *)
 let resolve env target profile =
   match target with
@@ -292,26 +324,29 @@ let resolve env target profile =
           | Ok h -> (
               let key = stored_key path in
               match Lru.find env.x_lru key with
-              | Some slif ->
+              | Some r ->
                   lru_hit ();
-                  Ok (key, slif)
+                  Ok (key, r)
               | None -> (
                   lru_miss ();
                   check_graph_budget env ~path
-                    ~bytes:(Slif_store.Lazy_store.decoded_bytes_estimate h);
+                    ~bytes:
+                      (Slif_store.Lazy_store.decoded_bytes_estimate h
+                      + Slif_store.Store.graph_bytes_estimate (Slif_store.Lazy_store.meta h));
                   match
                     Obs.Span.with_ "server.store.decode" (fun () ->
                         Slif_store.Lazy_store.slif h)
                   with
                   | Error err -> Error (Slif_store.Store.error_message err)
                   | Ok (slif, _prov) ->
-                      Lru.add env.x_lru key slif;
-                      Ok (key, slif)))))
+                      let r = admit slif in
+                      Lru.add env.x_lru key r;
+                      Ok (key, r)))))
   | Protocol.Key key -> (
       match Lru.find env.x_lru key with
-      | Some slif ->
+      | Some r ->
           lru_hit ();
-          Ok (key, slif)
+          Ok (key, r)
       | None ->
           lru_miss ();
           Error (Printf.sprintf "key %S is not resident (load it first)" key))
@@ -327,9 +362,9 @@ let resolve env target profile =
       | Ok source -> (
           let key = Slif_store.Cache.key ~source ?profile () in
           match Lru.find env.x_lru key with
-          | Some slif ->
+          | Some r ->
               lru_hit ();
-              Ok (key, slif)
+              Ok (key, r)
           | None ->
               lru_miss ();
               let slif =
@@ -337,8 +372,9 @@ let resolve env target profile =
                     Ops.annotated ?cache_dir:env.x_cfg.cache_dir ?profile_text:profile
                       source)
               in
-              Lru.add env.x_lru key slif;
-              Ok (key, slif)))
+              let r = admit slif in
+              Lru.add env.x_lru key r;
+              Ok (key, r)))
 
 (* --- Telemetry snapshot ------------------------------------------------------ *)
 
@@ -421,7 +457,7 @@ let exn_message = function
 let fields_of_request env req =
   let module J = Obs.Json in
   let with_target target profile f =
-    match resolve env target profile with Error _ as e -> e | Ok (key, slif) -> f key slif
+    match resolve env target profile with Error _ as e -> e | Ok (key, r) -> f key r
   in
   match req with
   | Protocol.Load { target = Protocol.Stored path; profile = None } -> (
@@ -445,7 +481,8 @@ let fields_of_request env req =
               ("file_bytes", J.Int (Slif_store.Lazy_store.file_size h));
             ])
   | Protocol.Load { target; profile } ->
-      with_target target profile (fun key (slif : Slif.Types.t) ->
+      with_target target profile (fun key r ->
+          let slif = r.r_slif in
           Ok
             [
               ("key", J.String key);
@@ -454,11 +491,13 @@ let fields_of_request env req =
               ("channels", J.Int (Array.length slif.Slif.Types.chans));
             ])
   | Protocol.Estimate { target; profile; bounds } ->
-      with_target target profile (fun key slif ->
-          let output = Ops.estimate_output ~bounds slif in
+      with_target target profile (fun key r ->
+          let output =
+            if bounds then Ops.estimate_of_graph ~bounds r.r_graph else memo_estimate r
+          in
           Ok [ ("key", J.String key); ("output", J.String output) ])
   | Protocol.Partition { target; profile; algo; deadlines } ->
-      with_target target profile (fun key slif ->
+      with_target target profile (fun key r ->
           match Ops.algo_of_string algo with
           | Error _ as e -> e
           | Ok algo -> (
@@ -466,10 +505,10 @@ let fields_of_request env req =
               | Error _ as e -> e
               | Ok ds ->
                   let constraints = Ops.constraints_of_deadlines ds in
-                  let output, _part = Ops.partition_output ~algo ~constraints slif in
+                  let output, _part = Ops.partition_of_graph ~algo ~constraints r.r_graph in
                   Ok [ ("key", J.String key); ("output", J.String output) ]))
   | Protocol.Explore { target; profile; jobs; deadlines } ->
-      with_target target profile (fun key slif ->
+      with_target target profile (fun key r ->
           match deadlines_of deadlines with
           | Error _ as e -> e
           | Ok ds ->
@@ -477,7 +516,7 @@ let fields_of_request env req =
                 match jobs with Some j when j >= 1 -> j | Some _ | None -> env.x_cfg.jobs
               in
               let constraints = Ops.constraints_of_deadlines ds in
-              let output = Ops.explore_output ~jobs ~constraints slif in
+              let output = Ops.explore_output ~jobs ~constraints r.r_slif in
               Ok [ ("key", J.String key); ("output", J.String output) ])
   | Protocol.Batch _ | Protocol.Stats | Protocol.Health | Protocol.Metrics
   | Protocol.Dump | Protocol.Traces _ | Protocol.Shutdown ->
@@ -1291,6 +1330,12 @@ let run ?on_ready cfg =
       Condition.broadcast sh.jq_cond);
   Domain.join driver;
   Slif_util.Pool.shutdown pool;
+  (* This daemon's profiled locks fold into their names' totals, so the
+     next daemon in this process exports one series per lock name. *)
+  Obs.Lockprof.release sh.jq_lock;
+  Obs.Lockprof.release sh.cq_lock;
+  Lru.release st.lru;
+  Lru.release env.x_stores;
   Obs.Event.emit "server.stop"
     ~fields:
       [ ("requests", Obs.Json.Int st.served); ("errors", Obs.Json.Int st.errors) ];

@@ -5,7 +5,12 @@
     writes responses — and dispatches every framed line to a fixed pool
     of worker domains over a condition-parked job queue.  Workers
     execute requests against the shared resident set, one {!Lru}
-    (content-hash keyed, fully associative, one lock) and push
+    (content-hash keyed, fully associative, one lock) of resident
+    graphs: the annotated SLIF, the processor+ASIC [Graph.t] built once
+    when the graph is admitted, and the all-software [estimate] report,
+    computed by the first [estimate] and a lookup after.  An entry is
+    immutable once admitted (the report is published once, atomically),
+    so workers share it without locking.  Workers push
     completions back through a queue
     plus a self-pipe that wakes the acceptor's select.  Each connection
     carries sequence numbers and a reorder buffer, so responses hit the
@@ -58,7 +63,7 @@ type addr =
 type config = {
   addr : addr;
   cache_dir : string option;  (** persist annotated graphs here too *)
-  lru_capacity : int;  (** annotated graphs kept resident *)
+  lru_capacity : int;  (** resident graphs kept *)
   workers : int;  (** worker domains executing requests (min 1) *)
   jobs : int;  (** domain-pool width for [explore] requests without their own ["jobs"] *)
   max_requests : int option;  (** stop after this many requests (soak/smoke harnesses) *)
@@ -75,10 +80,11 @@ type config = {
           and a close *)
   max_graph_mb : int option;
       (** admission control for store-file targets: reject (typed error
-          kind ["graph_too_large"]) any load whose decoded graph would
-          exceed this many megabytes — META's decoded-heap estimate.
-          Metadata-only [load]s are always admitted: they decode
-          nothing. *)
+          kind ["graph_too_large"]) any load whose resident graph would
+          exceed this many megabytes — META's decoded-heap estimate plus
+          {!Slif_store.Store.graph_bytes_estimate} for the graph built
+          over it.  Metadata-only [load]s are always admitted: they
+          decode nothing. *)
   retain_traces : int;
       (** how many slow/error span trees the tail-based retention keeps
           (oldest evicted); 0 disables retention without touching the

@@ -6,26 +6,35 @@ let size_proxy (node : Slif.Types.node) =
   match node.n_size with [] -> 1.0 | (_, v) :: _ -> max 1.0 v
 
 (* Direct traffic between two nodes: bits x frequency over channels in
-   either direction. *)
+   either direction, summed along the CSR row in ascending channel id. *)
 let traffic graph a b =
+  let cg = Slif.Graph.compact graph in
   let one src dst =
-    List.fold_left
-      (fun acc (c : Slif.Types.channel) ->
-        match c.c_dst with
-        | Slif.Types.Dnode d when d = dst ->
-            acc +. (c.c_accfreq *. float_of_int c.c_bits)
-        | _ -> acc)
-      0.0
-      (Slif.Graph.out_chans graph src)
+    let acc = ref 0.0 in
+    for k = cg.Slif.Compact.out_off.(src) to cg.Slif.Compact.out_off.(src + 1) - 1 do
+      let c = cg.Slif.Compact.out_chan.(k) in
+      if cg.Slif.Compact.chan_dst.(c) = dst then
+        acc :=
+          !acc +. (cg.Slif.Compact.chan_freq.(c) *. float_of_int cg.Slif.Compact.chan_bits.(c))
+    done;
+    !acc
   in
   one a b +. one b a
 
 let shares_accessor graph a b =
-  let srcs id =
-    List.sort_uniq compare
-      (List.map (fun (c : Slif.Types.channel) -> c.c_src) (Slif.Graph.in_chans graph id))
+  let cg = Slif.Graph.compact graph in
+  let accesses src id =
+    let rec go k =
+      k < cg.Slif.Compact.in_off.(id + 1)
+      && (cg.Slif.Compact.chan_src.(cg.Slif.Compact.in_chan.(k)) = src || go (k + 1))
+    in
+    go cg.Slif.Compact.in_off.(id)
   in
-  List.exists (fun s -> List.mem s (srcs b)) (srcs a)
+  let rec any k =
+    k < cg.Slif.Compact.in_off.(a + 1)
+    && (accesses cg.Slif.Compact.chan_src.(cg.Slif.Compact.in_chan.(k)) b || any (k + 1))
+  in
+  any cg.Slif.Compact.in_off.(a)
 
 let closeness ?(params = default_params) graph a b =
   if a = b then 0.0

@@ -271,6 +271,14 @@ let decode_meta version r =
     vm_decoded_bytes;
   }
 
+(* META carries no weight-entry count, so bound it from the decoded-heap
+   model above: a node costs at least 120 bytes there (96 plus a one-word
+   name), a channel 112, and a weight entry at least 104 (80 plus a
+   one-word technology name). *)
+let graph_bytes_estimate m =
+  let weights = max 0 ((m.vm_decoded_bytes - (120 * m.vm_nodes) - (112 * m.vm_chans)) / 104) in
+  Slif.Compact.bytes_estimate ~nodes:m.vm_nodes ~chans:m.vm_chans ~weights
+
 let read_meta ~fetch (version, entries) =
   decode_section ~fetch entries "META" (decode_meta version)
 

@@ -144,6 +144,11 @@ type meta = {
           number admission control compares against [--max-graph-mb] *)
 }
 
+val graph_bytes_estimate : meta -> int
+(** Estimated heap bytes of the {!Slif.Compact} arrays a [Graph.t] over
+    the decoded graph adds on top of [vm_decoded_bytes]; read from META
+    alone, so admission control can count the graph before decoding. *)
+
 val directory :
   total:int -> (pos:int -> len:int -> string) -> (int * section_info list, error) result
 (** The container's format version and section table, read through a

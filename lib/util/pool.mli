@@ -65,8 +65,9 @@ val domains : t -> int
     with [~oversubscribe:true]. *)
 
 val shutdown : t -> unit
-(** Join all worker domains and tear down the submitting domain's
-    {!local} slots.  Idempotent; the pool must be idle.  If any slot
+(** Join all worker domains, tear down the submitting domain's {!local}
+    slots and release the queue lock's {!Slif_obs.Lockprof} series into
+    its name's total.  Idempotent; the pool must be idle.  If any slot
     teardown raised (on any domain), the first such exception — in
     registration order, so deterministic — is re-raised here after every
     domain has joined. *)

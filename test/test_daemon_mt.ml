@@ -722,6 +722,137 @@ let test_tallies_are_daemon_local () =
     (metric_sum metrics "slif_server_batch_items_total");
   Alcotest.(check int) "three batch items" 3 (int_at [ "by_op"; "estimate" ])
 
+(* --- Shared resident graphs --------------------------------------------------- *)
+
+(* Every worker reads the one resident graph per key, and the first
+   estimate publishes the all-software report for the rest.  Drive the
+   ops that touch that graph — bounds on and off, each search algorithm
+   that reads adjacency, a store target — from four domains at once at
+   workers 1, 2 and 4, and hold every response to the bytes serial Ops
+   prints for the same request. *)
+let test_resident_graphs_match_ops () =
+  let store = Filename.temp_file "slif_resident" ".slifstore" in
+  let target =
+    Slif_synth.Synth.generate
+      (Slif_synth.Synth.default_params ~seed:5 ~nodes:2_000 Slif_synth.Synth.Mixed)
+  in
+  Fun.protect ~finally:(fun () -> try Sys.remove store with Sys_error _ -> ()) @@ fun () ->
+  Slif_store.Store.save_slif ~path:store target;
+  let ok key output =
+    Protocol.ok [ ("key", Json.String key); ("output", Json.String output) ]
+  in
+  let estimate_line field name bounds =
+    Json.to_string
+      (Json.Obj
+         [
+           ("op", Json.String "estimate");
+           (field, Json.String name);
+           ("bounds", Json.Bool bounds);
+         ])
+  in
+  let partition_line name algo =
+    Json.to_string
+      (Json.Obj
+         [
+           ("op", Json.String "partition");
+           ("spec", Json.String name);
+           ("algo", Json.String algo);
+         ])
+  in
+  (* (request line, expected response), computed serially. *)
+  let cases =
+    Array.of_list
+      (List.concat_map
+         (fun name ->
+           let spec = Specs.Registry.find_exn name in
+           let slif = Ops.annotated spec.source in
+           let key = Slif_store.Cache.key ~source:spec.source () in
+           List.map
+             (fun bounds ->
+               (estimate_line "spec" name bounds, ok key (Ops.estimate_output ~bounds slif)))
+             [ false; true ]
+           @ List.map
+               (fun algo ->
+                 let a = Result.get_ok (Ops.algo_of_string algo) in
+                 let constraints = Ops.constraints_of_deadlines [] in
+                 let output, _ = Ops.partition_output ~algo:a ~constraints slif in
+                 (partition_line name algo, ok key output))
+               [ "cluster"; "sa"; "greedy" ])
+         spec_names
+      @ List.map
+          (fun bounds ->
+            ( estimate_line "store" store bounds,
+              ok ("store:" ^ store) (Ops.estimate_output ~bounds target) ))
+          [ false; true ])
+  in
+  let n = Array.length cases in
+  List.iter
+    (fun workers ->
+      with_server
+        ~config:(fun c -> { c with Server.workers })
+        (fun port _client ->
+          (* Connection [c] walks the cases from offset [3c], twice, so
+             cold and warm entries are hit from every domain. *)
+          let conn c =
+            let picks = List.init (2 * n) (fun i -> cases.(((3 * c) + i) mod n)) in
+            let cl = Client.connect_tcp ~timeout_ms:120_000 port in
+            let responses = Client.pipeline_raw cl (List.map fst picks) in
+            Client.close cl;
+            List.iter2
+              (fun (line, expected) got ->
+                if got <> expected then
+                  Alcotest.failf "workers=%d: %s answered\n%s\nexpected\n%s" workers line got
+                    expected)
+              picks responses
+          in
+          let doms = List.init 4 (fun d -> Domain.spawn (fun () -> conn d)) in
+          List.iter Domain.join doms))
+    [ 1; 2; 4 ]
+
+(* Lock series are process-wide: a daemon releases its locks at
+   shutdown, so a second daemon in the same process (with profiling on,
+   and an explore that runs a pool) exports each lock name once. *)
+let test_back_to_back_daemons_unique_series () =
+  Slif_obs.Lockprof.reset ();
+  Slif_obs.Lockprof.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Slif_obs.Lockprof.set_enabled false;
+      Slif_obs.Lockprof.reset ())
+  @@ fun () ->
+  let spec = List.hd spec_names in
+  let session () =
+    with_server
+      ~config:(fun c -> { c with Server.workers = 2 })
+      (fun _port client ->
+        ignore
+          (request_exn client [ ("op", Json.String "estimate"); ("spec", Json.String spec) ]);
+        ignore
+          (request_exn client
+             [
+               ("op", Json.String "explore"); ("spec", Json.String spec); ("jobs", Json.Int 2);
+             ]);
+        match Protocol.output_field (request_exn client [ ("op", Json.String "metrics") ]) with
+        | Some s -> s
+        | None -> Alcotest.fail "metrics has no output")
+  in
+  ignore (session ());
+  let metrics = session () in
+  let series =
+    String.split_on_char '\n' metrics
+    |> List.filter_map (fun line ->
+           if line = "" || line.[0] = '#' then None
+           else Option.map (fun i -> String.sub line 0 i) (String.rindex_opt line ' '))
+  in
+  Alcotest.(check bool) "lock series exported" true
+    (List.exists (fun s -> contains s "lock=\"server.jobq\"") series);
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun s ->
+      if Hashtbl.mem seen s then Alcotest.failf "label set exported twice: %s" s;
+      Hashtbl.add seen s ())
+    series
+
 let suite =
   [
     Alcotest.test_case "sharded lru: touch and re-insert" `Quick
@@ -760,4 +891,8 @@ let suite =
       test_stats_and_metrics_expose_workers_and_lru;
     Alcotest.test_case "tallies are daemon-local (second daemon)" `Slow
       test_tallies_are_daemon_local;
+    Alcotest.test_case "resident graphs: workers 1/2/4 byte-equal to serial Ops" `Slow
+      test_resident_graphs_match_ops;
+    Alcotest.test_case "back-to-back daemons: metrics label sets unique" `Slow
+      test_back_to_back_daemons_unique_series;
   ]

@@ -44,12 +44,27 @@ let chain () =
       buses = [||];
     }
 
+(* A node's CSR row, as channel ids. *)
+let out_row g id =
+  let cg = Slif.Graph.compact g in
+  let off = cg.Slif.Compact.out_off.(id) in
+  List.init
+    (cg.Slif.Compact.out_off.(id + 1) - off)
+    (fun k -> cg.Slif.Compact.out_chan.(off + k))
+
+let in_row g id =
+  let cg = Slif.Graph.compact g in
+  let off = cg.Slif.Compact.in_off.(id) in
+  List.init
+    (cg.Slif.Compact.in_off.(id + 1) - off)
+    (fun k -> cg.Slif.Compact.in_chan.(off + k))
+
 let test_out_in_chans () =
   let g = chain () in
-  Alcotest.(check int) "a has two out-channels" 2 (List.length (Slif.Graph.out_chans g 0));
-  Alcotest.(check int) "v has none out" 0 (List.length (Slif.Graph.out_chans g 3));
-  Alcotest.(check int) "v has two in-channels" 2 (List.length (Slif.Graph.in_chans g 3));
-  Alcotest.(check int) "a has none in" 0 (List.length (Slif.Graph.in_chans g 0))
+  Alcotest.(check int) "a has two out-channels" 2 (List.length (out_row g 0));
+  Alcotest.(check int) "v has none out" 0 (List.length (out_row g 3));
+  Alcotest.(check int) "v has two in-channels" 2 (List.length (in_row g 3));
+  Alcotest.(check int) "a has none in" 0 (List.length (in_row g 0))
 
 let test_callers_callees () =
   let g = chain () in
@@ -135,11 +150,44 @@ let test_var_cycle_is_not_call_cycle () =
 
 let test_channel_order_preserved () =
   let g = chain () in
-  match Slif.Graph.out_chans g 0 with
+  match out_row g 0 with
   | [ c0; c1 ] ->
-      Alcotest.(check int) "first channel first" 0 c0.Slif.Types.c_id;
-      Alcotest.(check int) "second channel second" 2 c1.Slif.Types.c_id
+      Alcotest.(check int) "first channel first" 0 c0;
+      Alcotest.(check int) "second channel second" 2 c1
   | _ -> Alcotest.fail "expected two channels"
+
+(* A built graph is shared, not copied, between the daemon's workers:
+   four domains clustering one [Graph.t] at once (the pass that reads
+   adjacency rows for every node pair) must each land on the serial
+   run's partition and cost, to the bit. *)
+let test_shared_graph_cluster () =
+  let spec = Specs.Registry.find_exn "ether" in
+  let graph = Slif_server.Ops.proc_asic_graph (Slif_server.Ops.annotated spec.source) in
+  let run () =
+    let sol = Specsyn.Cluster.run ~k:4 (Specsyn.Search.problem graph) in
+    ( Slif.Partition.assignments sol.Specsyn.Search.part,
+      Slif.Partition.chan_assignments sol.Specsyn.Search.part,
+      Int64.bits_of_float sol.Specsyn.Search.cost )
+  in
+  let serial = run () in
+  let go = Atomic.make false in
+  let doms =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            run ()))
+  in
+  Atomic.set go true;
+  List.iteri
+    (fun i d ->
+      let nodes, chans, cost = Domain.join d in
+      let s_nodes, s_chans, s_cost = serial in
+      Alcotest.(check bool) (Printf.sprintf "domain %d node mapping" i) true (nodes = s_nodes);
+      Alcotest.(check bool) (Printf.sprintf "domain %d bus mapping" i) true (chans = s_chans);
+      Alcotest.(check int64) (Printf.sprintf "domain %d cost bits" i) s_cost cost)
+    doms
 
 let suite =
   [
@@ -152,4 +200,6 @@ let suite =
     Alcotest.test_case "self recursion detected" `Quick test_self_recursion_detected;
     Alcotest.test_case "variable edges are not call cycles" `Quick test_var_cycle_is_not_call_cycle;
     Alcotest.test_case "channel order preserved" `Quick test_channel_order_preserved;
+    Alcotest.test_case "shared graph: 4-domain clustering matches serial" `Quick
+      test_shared_graph_cluster;
   ]

@@ -310,6 +310,36 @@ let test_profiler_differential () =
     (Invalid_argument "Profiler.run: jobs must be >= 1") (fun () ->
       ignore (Specsyn.Profiler.run ~name:"tiny" ~jobs:[ 0; 2 ] slif))
 
+(* Every exploration runs on its own pool, and every pool creates a
+   "pool.queue" lock; a released lock folds into its name's total, so
+   five explorations leave one entry carrying all five runs'
+   acquisitions (jobs 1: the submitter does all the work, so each run
+   takes the lock the same number of times). *)
+let test_released_locks_fold_by_name () =
+  with_profiling @@ fun () ->
+  let slif = Slif_server.Ops.annotated (Specs.Registry.find_exn "vol").source in
+  let explore () = ignore (Specsyn.Explore.run ~jobs:1 slif) in
+  let queue_entries () =
+    List.filter (fun (s : Obs.Lockprof.stat) -> s.s_name = "pool.queue") (Obs.Lockprof.all ())
+  in
+  explore ();
+  let once =
+    match queue_entries () with
+    | [ s ] -> s.Obs.Lockprof.acquisitions
+    | l -> Alcotest.failf "%d pool.queue entries after one exploration" (List.length l)
+  in
+  Alcotest.(check bool) "the pool took its lock" true (once > 0);
+  for _ = 2 to 5 do
+    explore ()
+  done;
+  match queue_entries () with
+  | [ s ] ->
+      Alcotest.(check int) "acquisitions summed over five pools" (5 * once)
+        s.Obs.Lockprof.acquisitions;
+      Alcotest.(check int) "wait histogram summed too" (5 * once)
+        s.Obs.Lockprof.wait_us.Obs.Histogram.count
+  | l -> Alcotest.failf "%d pool.queue entries after five explorations" (List.length l)
+
 let suite =
   [
     Alcotest.test_case "pool stats across the lifecycle" `Quick test_pool_stats_lifecycle;
@@ -322,4 +352,6 @@ let suite =
       test_attribution_covers_wall;
     Alcotest.test_case "profiling never changes exploration results" `Slow
       test_profiler_differential;
+    Alcotest.test_case "released locks fold into one entry per name" `Quick
+      test_released_locks_fold_by_name;
   ]

@@ -697,6 +697,93 @@ let test_store_target () =
           ignore (estimate ());
           Alcotest.(check int) "second answer from the LRU" (before + 1) (decodes ())))
 
+(* [--max-graph-mb] admits a store by its resident size: the decoded SLIF
+   and the graph built over it, both read from META.  A budget that the
+   SLIF alone fits but the pair does not is refused with the typed kind,
+   and one that fits the pair is answered. *)
+let test_store_budget_counts_graph () =
+  let slif =
+    Slif_synth.Synth.generate
+      (Slif_synth.Synth.default_params ~seed:11 ~nodes:10_000 Slif_synth.Synth.Mixed)
+  in
+  let path = Filename.temp_file "slif_budget" ".slifstore" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) @@ fun () ->
+  Slif_store.Store.save_slif ~path slif;
+  let slif_bytes, graph_bytes =
+    match Slif_store.Lazy_store.open_file path with
+    | Ok h ->
+        ( Slif_store.Lazy_store.decoded_bytes_estimate h,
+          Slif_store.Store.graph_bytes_estimate (Slif_store.Lazy_store.meta h) )
+    | Error err -> Alcotest.fail (Slif_store.Store.error_message err)
+  in
+  let mib = 1024 * 1024 in
+  let ceil_mb b = (b + mib - 1) / mib in
+  let between = ceil_mb slif_bytes in
+  Alcotest.(check bool) "the SLIF fits a budget the SLIF and graph overrun" true
+    (slif_bytes + graph_bytes > between * mib);
+  let estimate mb =
+    with_server
+      ~config:(fun c -> { c with Server.max_graph_mb = Some mb })
+      (fun _port client ->
+        Client.request_raw client
+          (Json.to_string
+             (Json.Obj [ ("op", Json.String "estimate"); ("store", Json.String path) ])))
+  in
+  (match Json.parse (estimate between) with
+  | Ok json -> (
+      match Json.member "kind" json with
+      | Some (Json.String "graph_too_large") -> ()
+      | _ -> Alcotest.failf "budget of %d MB admitted the graph" between)
+  | Error msg -> Alcotest.failf "unparseable refusal: %s" msg);
+  Alcotest.(check string) "a budget that fits both answers"
+    (Protocol.ok
+       [
+         ("key", Json.String ("store:" ^ path));
+         ("output", Json.String (Ops.estimate_output ~bounds:false slif));
+       ])
+    (estimate (ceil_mb (slif_bytes + graph_bytes)))
+
+(* A retained trace says whether an estimate paid for its graph: the
+   request that admitted the spec carries the [server.resident.build]
+   span, the one after it only the [server.estimate.memo_hit] instant. *)
+let test_flight_resident_build_vs_memo () =
+  Slif_obs.Flight.reset ();
+  with_server
+    ~config:(fun c -> { c with Server.slow_ms = Some 0.0 })
+    (fun _port client ->
+      let estimate () =
+        ignore
+          (output_exn client [ ("op", Json.String "estimate"); ("spec", Json.String "vol") ])
+      in
+      estimate ();
+      estimate ();
+      let sfield t name = match Json.member name t with Some (Json.String s) -> s | _ -> "" in
+      let traces =
+        match Json.member "traces" (request_exn client [ ("op", Json.String "traces") ]) with
+        | Some (Json.List l) -> List.filter (fun t -> sfield t "op" = "estimate") l
+        | _ -> Alcotest.fail "traces response has no list"
+      in
+      let records t =
+        let resp =
+          request_exn client
+            [ ("op", Json.String "traces"); ("id", Json.String (sfield t "id")) ]
+        in
+        match Option.bind (Json.member "trace" resp) (Json.member "spans") with
+        | Some (Json.List l) -> List.map (fun r -> (sfield r "kind", sfield r "name")) l
+        | _ -> Alcotest.fail "retained trace has no records"
+      in
+      match List.map records traces with
+      | [ first; second ] ->
+          Alcotest.(check bool) "first request built the resident graph" true
+            (List.mem ("span", "server.resident.build") first);
+          Alcotest.(check bool) "first request computed the report" false
+            (List.mem ("event", "server.estimate.memo_hit") first);
+          Alcotest.(check bool) "second request was a lookup" true
+            (List.mem ("event", "server.estimate.memo_hit") second);
+          Alcotest.(check bool) "second request built nothing" false
+            (List.mem ("span", "server.resident.build") second)
+      | l -> Alcotest.failf "%d estimate traces retained, expected 2" (List.length l))
+
 (* Regenerating a store file on disk must be picked up by a running
    daemon: save_slif renames a fresh inode over the one the mmap pins,
    so the cached handle is revalidated per request and the stale
@@ -1074,4 +1161,8 @@ let suite =
     Alcotest.test_case "client timeout on a stalled socket" `Quick test_client_timeout;
     Alcotest.test_case "client rejects non-positive timeout" `Quick
       test_client_timeout_rejects_bad_value;
+    Alcotest.test_case "store target: budget counts the resident graph" `Slow
+      test_store_budget_counts_graph;
+    Alcotest.test_case "retained traces tell a resident build from a memo hit" `Slow
+      test_flight_resident_build_vs_memo;
   ]
